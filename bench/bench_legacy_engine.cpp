@@ -1,5 +1,5 @@
 // Legacy-study engine bench: the full-fidelity LimeWire study's events/sec
-// serial and on the sharded engine (1 and 4 shards), plus the query
+// on the sharded engine at 1 and 4 shards, plus the query
 // hot-path before/after — the interned-token SharedFileIndex against a
 // reference re-tokenizing scan (util::keyword_match per file per query,
 // exactly what the index replaced).
@@ -9,7 +9,7 @@
 // enforces:
 //   * interned-vs-reference query throughput ratio >= 1.3x (pure CPU ratio,
 //     machine-independent — the hot-path overhaul must pay for itself),
-//   * serial study events/sec above an absolute sanity floor,
+//   * 1-shard study events/sec above an absolute sanity floor,
 //   * identical record streams at 1 and 4 shards (the determinism
 //     contract, asserted unconditionally),
 //   * >= 2x study events/sec at 4 shards vs 1 — only on hosts with >= 4
@@ -124,11 +124,11 @@ QueryBench run_query_bench(std::size_t files, std::size_t queries) {
 }
 
 // ---------------------------------------------------------------------------
-// Study throughput: the --quick LimeWire study, serial and sharded.
+// Study throughput: the --quick LimeWire study at 1 and 4 shards.
 // ---------------------------------------------------------------------------
 
 struct StudyRun {
-  std::size_t shards = 0;  // 0 = serial EventQueue model
+  std::size_t shards = 1;
   std::uint64_t events = 0;
   std::size_t responses = 0;
   double wall_seconds = 0.0;
@@ -176,10 +176,10 @@ int main(int argc, char** argv) {
   unsigned cores = std::thread::hardware_concurrency();
   constexpr std::size_t kFiles = 2000;
   constexpr std::size_t kQueries = 2000;
-  // Absolute sanity floor for the serial study: a debug build or an
+  // Absolute sanity floor for the 1-shard study: a debug build or an
   // accidental O(n^2) regression lands an order of magnitude below this; CI
   // runners and dev machines sit comfortably above it.
-  constexpr double kSerialFloorEventsPerSec = 20'000.0;
+  constexpr double kShard1FloorEventsPerSec = 20'000.0;
 
   QueryBench qb = run_query_bench(kFiles, kQueries);
   std::printf(
@@ -189,18 +189,17 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(qb.interned_hits));
 
   std::vector<StudyRun> runs;
-  for (std::size_t shards : {0u, 1u, 4u}) {
+  for (std::size_t shards : {1u, 4u}) {
     StudyRun run = run_study(shards);
     std::printf(
-        "study: shards=%zu%s  events=%llu  responses=%zu  wall=%.2fs  "
+        "study: shards=%zu  events=%llu  responses=%zu  wall=%.2fs  "
         "%.0f events/s\n",
-        run.shards, run.shards == 0 ? " (serial)" : "",
-        static_cast<unsigned long long>(run.events), run.responses,
+        run.shards, static_cast<unsigned long long>(run.events), run.responses,
         run.wall_seconds, run.events_per_sec);
     runs.push_back(run);
   }
-  double speedup4 = runs[1].events_per_sec > 0.0
-                        ? runs[2].events_per_sec / runs[1].events_per_sec
+  double speedup4 = runs[0].events_per_sec > 0.0
+                        ? runs[1].events_per_sec / runs[0].events_per_sec
                         : 0.0;
   std::printf("study: 4-shard speedup %.2fx on %u hardware thread(s)\n",
               speedup4, cores);
@@ -214,8 +213,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(qb.ref_hits));
     ok = false;
   }
-  if (runs[1].events != runs[2].events ||
-      runs[1].responses != runs[2].responses) {
+  if (runs[0].events != runs[1].events ||
+      runs[0].responses != runs[1].responses) {
     std::fprintf(stderr,
                  "FAIL: sharded runs diverged between 1 and 4 shards\n");
     ok = false;
@@ -236,10 +235,10 @@ int main(int argc, char** argv) {
                    qb.ratio);
       ok = false;
     }
-    if (runs[0].events_per_sec < kSerialFloorEventsPerSec) {
+    if (runs[0].events_per_sec < kShard1FloorEventsPerSec) {
       std::fprintf(stderr,
-                   "FAIL: serial study %.0f events/s below the %.0f floor\n",
-                   runs[0].events_per_sec, kSerialFloorEventsPerSec);
+                   "FAIL: 1-shard study %.0f events/s below the %.0f floor\n",
+                   runs[0].events_per_sec, kShard1FloorEventsPerSec);
       ok = false;
     }
     if (cores >= 4) {
@@ -258,16 +257,16 @@ int main(int argc, char** argv) {
   char buf[1024];
   int n = std::snprintf(
       buf, sizeof(buf),
-      "{\"format\":\"p2p-bench-legacy-engine-1\",\"cores\":%u,"
+      "{\"format\":\"p2p-bench-legacy-engine-2\",\"cores\":%u,"
       "\"query\":{\"files\":%zu,\"queries\":%zu,"
       "\"reference_qps\":%.0f,\"interned_qps\":%.0f,\"ratio\":%.2f},"
-      "\"study\":{\"serial_events_per_sec\":%.0f,"
-      "\"shard1_events_per_sec\":%.0f,\"shard4_events_per_sec\":%.0f,"
+      "\"study\":{\"shard1_events_per_sec\":%.0f,"
+      "\"shard4_events_per_sec\":%.0f,"
       "\"speedup_4_shards\":%.2f,\"events\":%llu,\"responses\":%zu}}\n",
       cores, kFiles, kQueries, qb.ref_queries_per_sec,
       qb.interned_queries_per_sec, qb.ratio, runs[0].events_per_sec,
-      runs[1].events_per_sec, runs[2].events_per_sec, speedup4,
-      static_cast<unsigned long long>(runs[1].events), runs[1].responses);
+      runs[1].events_per_sec, speedup4,
+      static_cast<unsigned long long>(runs[0].events), runs[0].responses);
   if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) {
     std::fprintf(stderr, "json overflow\n");
     return 1;

@@ -1,9 +1,10 @@
 // Simulation-core microbench: the before/after evidence for the hot-path
-// rework (sim::Task + 4-ary heap, shared util::Payload buffers). The
-// "legacy" side is a faithful in-binary replica of the pre-optimization
-// core — std::function actions in a binary std::priority_queue with the
-// then-default per-event wall timing — so both sides run in the same
-// process, same compiler, same allocator.
+// rework (sim::Task + the 4-ary slab heap under every engine shard, shared
+// util::Payload buffers). The "legacy" side is a faithful in-binary replica
+// of the pre-optimization core — std::function actions in a binary
+// std::priority_queue with the then-default per-event wall timing — and the
+// optimized side is sim::ShardQueue driven the way one engine shard drives
+// it, so both sides run in the same process, same compiler, same allocator.
 //
 // Emits a JSON report (stdout or --json <path>) that ci/run_tiers.sh's
 // bench tier uploads as an artifact; the committed BENCH_sim_core.json at
@@ -20,10 +21,11 @@
 #include <new>
 #include <queue>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/event_queue.h"
+#include "sim/shard_queue.h"
 #include "sim/task.h"
 #include "util/bytes.h"
 #include "util/payload.h"
@@ -157,6 +159,32 @@ class LegacyQueue {
   obs::Counter& m_executed_;
   obs::Gauge& m_depth_;
   obs::Histogram& m_event_wall_ns_;
+};
+
+// ---------------------------------------------------------------------------
+// The surviving heap, driven as one ShardedEngine shard drives it: intrinsic
+// (at, origin, origin-sequence) keys from a single origin, pop and run.
+// ---------------------------------------------------------------------------
+
+class ShardHeap {
+ public:
+  void schedule_in(util::SimDuration delay, sim::Task action) {
+    queue_.push(sim::ShardQueue::Entry{now_ms_ + delay.count_ms(), next_seq_++, 0, 0},
+                0, std::move(action));
+  }
+
+  void run_all() {
+    while (!queue_.empty()) {
+      auto event = queue_.pop();
+      now_ms_ = event.entry.at_ms;
+      event.action();
+    }
+  }
+
+ private:
+  sim::ShardQueue queue_;
+  std::int64_t now_ms_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -332,7 +360,7 @@ int run(int argc, char** argv) {
       best(legacy_notiming, run_hold(q));
     }
     {
-      sim::EventQueue q;
+      ShardHeap q;
       best(optimized, run_hold(q));
     }
   }
@@ -365,7 +393,7 @@ int run(int argc, char** argv) {
   char buf[2048];
   int len = std::snprintf(
       buf, sizeof(buf),
-      "{\"format\":\"p2p-bench-sim-core-1\","
+      "{\"format\":\"p2p-bench-sim-core-1\",\"cores\":%u,"
       "\"scheduling\":{"
       "\"events\":%llu,\"capture_bytes\":%zu,"
       "\"legacy_events_per_sec\":%.0f,"
@@ -383,6 +411,7 @@ int run(int argc, char** argv) {
       "\"copy_reduction\":%.1f,"
       "\"legacy_allocs_per_broadcast\":%.2f,"
       "\"optimized_allocs_per_broadcast\":%.2f}}\n",
+      std::thread::hardware_concurrency(),
       static_cast<unsigned long long>(kHoldEvents), sizeof(void*) * 5,
       legacy.events_per_sec, legacy_notiming.events_per_sec,
       optimized.events_per_sec, sched_speedup, sched_speedup_notiming,

@@ -23,7 +23,7 @@
 #             replay throughput floor + peak-RSS ceiling, byte-identical
 #             reports across jobs counts), bench_legacy_engine --check
 #             (legacy study on the sharded engine: interned query hot-path
-#             ratio, serial events/sec floor, 1-vs-4-shard determinism,
+#             ratio, 1-shard events/sec floor, 1-vs-4-shard determinism,
 #             and the >=2x study speedup floor on >=4-core hosts),
 #             and bench_obs_overhead --check
 #             in the release
@@ -153,9 +153,8 @@ tier_tsan() {
       ./examples/${network}_study --quick --seed 7 --shards 4 \
         --json "tsan_${network}_sharded.json" > /dev/null
     done
-    # The KAD driver is serial, but its RPC fan-out and honeypot stream
-    # merge still run under the sweep worker pool in `-L kad`'s study
-    # tests; a standalone quick study keeps the CLI path covered too.
+    # KAD's study tests run under the sweep worker pool; a standalone quick
+    # study keeps the CLI path covered too.
     ctest -L kad -j "${JOBS}" --output-on-failure
     ./examples/kad_study --quick --seed 7 --json tsan_kad.json > /dev/null
   )
@@ -267,7 +266,7 @@ tier_bench() {
     ./bench/bench_trace --check --json bench_trace.json
 
     # Full-fidelity legacy study on the sharded engine: interned-vs-
-    # reference query hot-path ratio (>= 1.3x), serial events/sec floor,
+    # reference query hot-path ratio (>= 1.3x), 1-shard events/sec floor,
     # identical 1/4-shard record streams, and — on >=4-core hosts only —
     # the >=2x 4-shard study speedup floor. A smaller host prints
     # "1-core host: parallel speedup floor skipped" instead of failing.

@@ -21,10 +21,11 @@
 //                    [--shards <n>] [--soa]
 //                    [obs flags — see examples/obs_cli.h]
 //
-// --shards N (N >= 1) runs the full-fidelity study on the sharded engine
-// with N worker threads; output is byte-identical for every N (see README
-// "Scaling a study across cores"). --soa swaps in the reduced SoA capacity
-// model (core/shard_study) instead — the population-scaling variant.
+// --shards N (default 1) runs the study on N engine shards, one worker
+// thread each; output is byte-identical for every N (see README "Scaling a
+// study across cores"). --soa (with --shards) swaps in the reduced SoA
+// capacity model (core/shard_study) instead — the population-scaling
+// variant.
 #include <cstring>
 #include <fstream>
 #include <iostream>

@@ -32,7 +32,6 @@
 #include "obs/progress.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "sim/event_queue.h"
 #include "util/sim_time.h"
 
 namespace p2p::examples {
@@ -124,11 +123,6 @@ struct ObsCli {
   /// the run. Returns false (with a message on stderr) on a bad
   /// --trace-components spec.
   [[nodiscard]] bool activate() const {
-    if (!metrics_path.empty()) {
-      // Per-event wall timing is opt-in (two steady_clock reads per event);
-      // a metrics snapshot is the one consumer of sim.event_wall_ns.
-      sim::EventQueue::set_default_wall_timing(true);
-    }
     if (!trace_path.empty() &&
         !obs::TraceBuffer::global().enable_from_spec(trace_spec)) {
       std::cerr << "unknown trace component in: " << trace_spec << "\n";

@@ -22,9 +22,9 @@
 //                  [--faults <preset|spec>] [--fault-seed <n>] [--shards <n>]
 //                  [--soa] [obs flags — see examples/obs_cli.h]
 //
-// --shards N (N >= 1) runs the full-fidelity study on the sharded engine
-// with N worker threads; output is byte-identical for every N. --soa swaps
-// in the reduced SoA capacity model (core/shard_study) instead.
+// --shards N (default 1) runs the study on N engine shards, one worker
+// thread each; output is byte-identical for every N. --soa (with --shards)
+// swaps in the reduced SoA capacity model (core/shard_study) instead.
 #include <cstring>
 #include <fstream>
 #include <iostream>

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Observing " << leaves << " leaves for " << hours
             << " simulated hours...\n\n";
-  net.events().run_until(sim::SimTime::zero() + sim::SimDuration::hours(hours));
+  net.engine().run_until(sim::SimTime::zero() + sim::SimDuration::hours(hours));
 
   std::cout << "queries observed: " << util::format_count(observatory.total_queries())
             << " (" << util::format_count(observatory.distinct_queries())

@@ -11,8 +11,7 @@ ChurnDriver::ChurnDriver(sim::Network& net, std::vector<PeerSpec> specs,
     : net_(net),
       specs_(std::move(specs)),
       current_(specs_.size(), sim::kInvalidNode),
-      config_(config),
-      rng_(config.seed) {}
+      config_(config) {}
 
 void ChurnDriver::start() {
   double session_s = config_.mean_session.as_seconds();
@@ -22,65 +21,42 @@ void ChurnDriver::start() {
                         ? config_.initial_online_override
                         : stationary;
 
-  if (net_.sharded()) {
-    // Pre-register every spec's slot (the entity partition is fixed before
-    // the first run) and give each spec its own rng stream, so a spec's
-    // whole on/off schedule is a pure function of (churn seed, spec index).
-    slot_ids_.resize(specs_.size());
-    spec_rngs_.reserve(specs_.size());
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      slot_ids_[i] = net_.register_peer(specs_[i].profile);
-    }
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      std::uint64_t state = config_.seed ^ 0xc8a2'11ed'5eedull;
-      state ^= util::splitmix64(state) + i;
-      spec_rngs_.emplace_back(util::splitmix64(state));
-      util::Rng& rng = spec_rngs_.back();
-      sim::SimDuration delay =
-          rng.chance(p_online)
-              ? sim::SimDuration::millis(
-                    static_cast<std::int64_t>(rng.uniform(0.0, 30'000.0)))
-              : sim::SimDuration::millis(static_cast<std::int64_t>(
-                    1000.0 * rng.exponential(offline_s)));
-      net_.engine().post(net_.entity_of(slot_ids_[i]), net_.now() + delay,
-                         [this, i] { join(i); });
-    }
-    return;
-  }
-
+  // Pre-register every spec's slot (the entity partition is fixed before
+  // the first run) and give each spec its own rng stream, so a spec's whole
+  // on/off schedule is a pure function of (churn seed, spec index).
+  slot_ids_.resize(specs_.size());
+  spec_rngs_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (rng_.chance(p_online)) {
-      // Small jitter so the initial wave of joins doesn't synchronize.
-      auto delay = sim::SimDuration::millis(
-          static_cast<std::int64_t>(rng_.uniform(0.0, 30'000.0)));
-      net_.events().schedule_in(delay, [this, i] { join(i); });
-    } else {
-      auto delay = sim::SimDuration::millis(
-          static_cast<std::int64_t>(1000.0 * rng_.exponential(offline_s)));
-      net_.events().schedule_in(delay, [this, i] { join(i); });
-    }
+    slot_ids_[i] = net_.register_peer(specs_[i].profile);
+  }
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    std::uint64_t state = config_.seed ^ 0xc8a2'11ed'5eedull;
+    state ^= util::splitmix64(state) + i;
+    spec_rngs_.emplace_back(util::splitmix64(state));
+    util::Rng& rng = spec_rngs_.back();
+    // Small jitter so the initial wave of joins doesn't synchronize.
+    sim::SimDuration delay =
+        rng.chance(p_online)
+            ? sim::SimDuration::millis(
+                  static_cast<std::int64_t>(rng.uniform(0.0, 30'000.0)))
+            : sim::SimDuration::millis(static_cast<std::int64_t>(
+                  1000.0 * rng.exponential(offline_s)));
+    net_.engine().post(net_.entity_of(slot_ids_[i]), net_.now() + delay,
+                       [this, i] { join(i); });
   }
 }
 
 void ChurnDriver::join(std::size_t idx) {
   if (current_[idx] != sim::kInvalidNode) return;
-  if (net_.sharded()) {
-    // Runs on the spec's own entity: attach into the pre-registered slot
-    // and draw the session length from the spec's private stream.
-    net_.attach_node(slot_ids_[idx], specs_[idx].make());
-    current_[idx] = slot_ids_[idx];
-    joins_.fetch_add(1, std::memory_order_relaxed);
-    auto session = sim::SimDuration::millis(static_cast<std::int64_t>(
-        1000.0 * spec_rngs_[idx].exponential(config_.mean_session.as_seconds())));
-    net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + session,
-                       [this, idx] { leave(idx); });
-    return;
-  }
-  current_[idx] = net_.add_node(specs_[idx].make(), specs_[idx].profile);
-  ++joins_;
+  // Runs on the spec's own entity: attach into the pre-registered slot and
+  // draw the session length from the spec's private stream.
+  net_.attach_node(slot_ids_[idx], specs_[idx].make());
+  current_[idx] = slot_ids_[idx];
+  joins_.fetch_add(1, std::memory_order_relaxed);
   auto session = sim::SimDuration::millis(static_cast<std::int64_t>(
-      1000.0 * rng_.exponential(config_.mean_session.as_seconds())));
-  net_.events().schedule_in(session, [this, idx] { leave(idx); });
+      1000.0 * spec_rngs_[idx].exponential(config_.mean_session.as_seconds())));
+  net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + session,
+                     [this, idx] { leave(idx); });
 }
 
 void ChurnDriver::leave(std::size_t idx) {
@@ -92,18 +68,11 @@ void ChurnDriver::leave(std::size_t idx) {
   }
   net_.remove_node(current_[idx]);
   current_[idx] = sim::kInvalidNode;
-  if (net_.sharded()) {
-    leaves_.fetch_add(1, std::memory_order_relaxed);
-    auto offline = sim::SimDuration::millis(static_cast<std::int64_t>(
-        1000.0 * spec_rngs_[idx].exponential(config_.mean_offline.as_seconds())));
-    net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + offline,
-                       [this, idx] { join(idx); });
-    return;
-  }
-  ++leaves_;
+  leaves_.fetch_add(1, std::memory_order_relaxed);
   auto offline = sim::SimDuration::millis(static_cast<std::int64_t>(
-      1000.0 * rng_.exponential(config_.mean_offline.as_seconds())));
-  net_.events().schedule_in(offline, [this, idx] { join(idx); });
+      1000.0 * spec_rngs_[idx].exponential(config_.mean_offline.as_seconds())));
+  net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + offline,
+                     [this, idx] { join(idx); });
 }
 
 void ChurnDriver::crash(std::size_t idx, sim::SimDuration downtime) {
@@ -112,14 +81,9 @@ void ChurnDriver::crash(std::size_t idx, sim::SimDuration downtime) {
   // endpoint in their tables until their own maintenance notices.
   net_.remove_node(current_[idx]);
   current_[idx] = sim::kInvalidNode;
-  if (net_.sharded()) {
-    leaves_.fetch_add(1, std::memory_order_relaxed);
-    net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + downtime,
-                       [this, idx] { join(idx); });
-    return;
-  }
-  ++leaves_;
-  net_.events().schedule_in(downtime, [this, idx] { join(idx); });
+  leaves_.fetch_add(1, std::memory_order_relaxed);
+  net_.engine().post(net_.entity_of(slot_ids_[idx]), net_.now() + downtime,
+                     [this, idx] { join(idx); });
 }
 
 std::size_t ChurnDriver::online_count() const {

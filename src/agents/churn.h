@@ -31,8 +31,8 @@ class ChurnDriver {
   /// Fault-injected abrupt departure (src/fault): the peer vanishes with no
   /// graceful BYE — neighbours must discover the dead link themselves — and
   /// rejoins after `downtime`, keeping its identity. No-op while offline.
-  /// The crash does not consume this driver's own rng, so enabling fault
-  /// churn never shifts the organic session schedule.
+  /// The crash does not consume the spec's session stream, so enabling
+  /// fault churn never shifts the organic session schedule.
   void crash(std::size_t idx, sim::SimDuration downtime);
 
   [[nodiscard]] std::uint64_t joins() const {
@@ -43,13 +43,13 @@ class ChurnDriver {
   }
   [[nodiscard]] std::size_t online_count() const;
 
-  /// Current node id of a spec (kInvalidNode while offline). Sharded mode:
-  /// per-spec state is owned by the spec's entity, so call this from that
-  /// entity's context (the CrashDriver does) or between runs.
+  /// Current node id of a spec (kInvalidNode while offline). Per-spec state
+  /// is owned by the spec's entity, so call this from that entity's context
+  /// (the CrashDriver does) or between runs.
   [[nodiscard]] sim::NodeId node_of(std::size_t spec_index) const;
   [[nodiscard]] const std::vector<PeerSpec>& specs() const { return specs_; }
 
-  /// Sharded mode: the registered slot of a spec (valid after start()).
+  /// The registered slot of a spec (valid after start()).
   [[nodiscard]] sim::NodeId spec_slot(std::size_t spec_index) const {
     return slot_ids_[spec_index];
   }
@@ -62,12 +62,10 @@ class ChurnDriver {
   std::vector<PeerSpec> specs_;
   std::vector<sim::NodeId> current_;
   ChurnConfig config_;
-  util::Rng rng_;
-  /// Sharded mode: one pre-registered slot and one private rng stream per
-  /// spec (derived from the churn seed and the spec index), so each spec's
-  /// session schedule is independent of every other spec's — and therefore
-  /// of the shard partition. The serial path keeps the single shared rng_
-  /// so its byte-exact schedule is untouched.
+  /// One pre-registered slot and one private rng stream per spec (derived
+  /// from the churn seed and the spec index), so each spec's session
+  /// schedule is independent of every other spec's — and therefore of the
+  /// shard partition.
   std::vector<sim::NodeId> slot_ids_;
   std::vector<util::Rng> spec_rngs_;
   std::atomic<std::uint64_t> joins_{0};

@@ -221,7 +221,7 @@ void EpidemicSimulation::run() {
   sample();
   for (sim::SimTime t = sim::SimTime::zero() + config_.sample_interval; t <= end;
        t = t + config_.sample_interval) {
-    net_.events().run_until(t);
+    net_.engine().run_until(t);
     sample();
   }
 }

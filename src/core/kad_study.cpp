@@ -103,6 +103,9 @@ std::uint64_t config_hash(const KadStudyConfig& config) {
   h.u64(config.honeypot_bait);
   hash_faults(h, config.faults, config.fault_seed);
   hash_timeseries(h, config.timeseries);
+  // Model marker: the study runs on the sharded Network. Caches recorded by
+  // the retired serial KAD driver (which folded no marker) are stale.
+  h.str("sharded-kad");
   return h.digest();
 }
 
@@ -161,7 +164,7 @@ StudyResult run_kad_study(const KadStudyConfig& config,
   std::unique_ptr<fault::CrashDriver> crash_driver;
   if (injector) {
     crash_driver = std::make_unique<fault::CrashDriver>(net, churn, *injector);
-    crash_driver->start();
+    crash_driver->start(internal::study_end(config.crawl));
   }
 
   obs::TimeSeries series = run_study_loop(

@@ -39,8 +39,8 @@ constexpr std::size_t kCellSize = 64;
 /// Matches sim::LatencyModel's 20ms floor.
 constexpr std::int64_t kLookaheadMs = 20;
 
-/// Response jitter above the latency floor (the 20..230ms band of the
-/// serial model's LatencyModel).
+/// Response jitter above the latency floor (the 20..230ms band of
+/// sim::Network's default LatencyModel).
 constexpr std::int64_t kJitterMs = 210;
 
 /// The crawler's effective overlay horizon: at populations beyond this,

@@ -1,7 +1,8 @@
-// Sharded study driver: the million-peer-scale counterpart of study.cpp's
-// serial drivers, built on sim::ShardedEngine + sim::PeerTable.
+// SoA capacity study driver: the million-peer-scale counterpart of
+// study.cpp's full-fidelity drivers, built on sim::ShardedEngine +
+// sim::PeerTable.
 //
-// `--shards N` on a study config routes the run here (any N >= 1). The
+// `--soa` with `--shards N` on a study config routes the run here. The
 // model keeps the paper's calibrated mechanisms — query-echo worms, lure
 // trojans, the OpenFT super-spreader, NAT/private advertising, churned
 // sessions, fault injection — but derives every per-peer decision from
@@ -11,9 +12,8 @@
 // function of the configuration: byte-identical at every shard count,
 // which tests/test_shard.cpp enforces differentially against --shards 1.
 //
-// The legacy no-flag path (shards == 0) is untouched and stays
-// byte-identical to previous releases; see DESIGN.md "Sharded execution"
-// for why the two paths are separate models rather than one.
+// The full-fidelity model (the default) stays in study.cpp; see DESIGN.md
+// "Sharded execution" for why the two are separate models rather than one.
 #pragma once
 
 #include <cstddef>

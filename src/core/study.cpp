@@ -198,19 +198,15 @@ std::uint64_t config_hash(const OpenFtStudyConfig& config) {
 
 namespace {
 
-/// Executor selection for the full-fidelity studies: shards == 0 is the
-/// serial EventQueue (byte-identical to previous releases); shards >= 1
-/// runs the same model on the sharded engine, with spawned workers
-/// recording into the study's registry via a thread-scoped guard.
+/// Executor partition for the full-fidelity studies: spawned shard workers
+/// record into the study's registry via a thread-scoped guard.
 sim::ShardingConfig study_sharding(std::size_t shards) {
   sim::ShardingConfig sharding;
   sharding.shards = shards;
-  if (shards > 0) {
-    sharding.worker_context = [&reg = obs::MetricsRegistry::global()] {
-      return std::static_pointer_cast<void>(
-          std::make_shared<obs::ScopedMetricsRegistry>(reg));
-    };
-  }
+  sharding.worker_context = [&reg = obs::MetricsRegistry::global()] {
+    return std::static_pointer_cast<void>(
+        std::make_shared<obs::ScopedMetricsRegistry>(reg));
+  };
   return sharding;
 }
 
@@ -241,13 +237,13 @@ StudyResult run_limewire_study(const LimewireStudyConfig& config,
 
   // One or more instrumented clients on distinct vantage addresses.
   std::size_t vantage_count = std::max<std::size_t>(1, config.crawler_count);
-  if (net.sharded() && vantage_count > 1 && injector) {
+  if (vantage_count > 1 && injector) {
     // The injector's crawler-side fault stream (stalls, scan timeouts) is a
-    // single serial rng; two crawler entities on different shards would
-    // race it. Multi-vantage sharded runs are fine fault-free.
+    // single rng; two crawler entities on different shards would race it.
+    // Multi-vantage runs are fine fault-free.
     throw std::invalid_argument(
-        "run_limewire_study: crawler_count > 1 with faults requires the "
-        "serial engine (--shards 0)");
+        "run_limewire_study: crawler_count > 1 cannot be combined with "
+        "faults");
   }
   std::vector<std::unique_ptr<crawler::LimewireCrawler>> crawlers;
   for (std::size_t v = 0; v < vantage_count; ++v) {

@@ -40,15 +40,13 @@ struct LimewireStudyConfig {
   /// loop tiles at window boundaries — behavior-neutral — and the result
   /// carries a TimeSeries. Folded into config_hash only when enabled.
   obs::TimeSeriesConfig timeseries{};
-  /// 0 = legacy serial model (byte-identical to previous releases). Any
-  /// value >= 1 runs the full-fidelity study on the sharded engine, whose
-  /// output is identical at every shard count; a model marker (never the
-  /// count) is folded into config_hash so the models can't share trace
-  /// caches.
-  std::size_t shards = 0;
+  /// Shards of the sim::ShardedEngine the study runs on (0 means 1). Output
+  /// is identical at every shard count; a model marker (never the count) is
+  /// folded into config_hash so the models can't share trace caches.
+  std::size_t shards = 1;
   /// With shards >= 1: run the reduced SoA capacity model (core/shard_study)
-  /// instead of the full-fidelity legacy model — the population-scaling
-  /// variant. Ignored when shards == 0.
+  /// instead of the full-fidelity model — the population-scaling variant.
+  /// Ignored when shards == 0.
   bool soa_capacity = false;
 };
 
@@ -64,7 +62,7 @@ struct OpenFtStudyConfig {
   /// Windowed metric sampling; see LimewireStudyConfig.
   obs::TimeSeriesConfig timeseries{};
   /// Sharded-engine worker count; see LimewireStudyConfig.
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   /// Reduced SoA capacity model switch; see LimewireStudyConfig.
   bool soa_capacity = false;
 };

@@ -51,7 +51,7 @@ obs::TimeSeries run_study_loop(sim::Network& net,
   bool want_progress = progress != nullptr && progress->enabled();
   if (!ts.enabled() && !want_progress) {
     net.engine().run_until(end);
-    if (net.sharded()) net.refresh_gauges();
+    net.refresh_gauges();
     return {};
   }
   // Progress without a time series still needs boundaries to report at:
@@ -65,11 +65,11 @@ obs::TimeSeries run_study_loop(sim::Network& net,
   while (t < end) {
     t = std::min(t + step, end);
     net.engine().run_until(t);
-    // Sharded mode can't maintain per-event gauges (a high-water mark would
+    // The network can't maintain per-event gauges (a high-water mark would
     // depend on worker interleaving); refresh them at the window boundary —
     // everything at or before `t` has executed, so the values are
     // deterministic — before the recorder samples.
-    if (net.sharded()) net.refresh_gauges();
+    net.refresh_gauges();
     recorder.sample(t);
     if (want_progress) {
       ProgressCounters c = counters();
@@ -180,15 +180,14 @@ inline void hash_timeseries(ConfigHasher& h, const obs::TimeSeriesConfig& t) {
 
 inline void hash_sharded(ConfigHasher& h, std::size_t shards,
                          bool soa_capacity) {
-  // Each sharded engine mode is a different model (a different byte
-  // stream), so traces from one model must never satisfy a request for
-  // another. Only the *marker* is folded, never the count: --shards 4 must
-  // produce the same header hash as --shards 1 for the byte-identity
-  // guarantee. Both markers differ from the pre-legacy-port "sharded"
-  // marker, so caches recorded by the old SoA-only --shards path are
-  // invalidated rather than mistaken for either current model.
-  if (shards == 0) return;
-  h.str(soa_capacity ? "sharded-soa" : "sharded-legacy");
+  // Each model is a different byte stream, so traces from one model must
+  // never satisfy a request for another. Only the *marker* is folded, never
+  // the count: --shards 4 must produce the same header hash as --shards 1
+  // (or 0, which means 1) for the byte-identity guarantee. The marker is
+  // folded at every shard count, so caches recorded by the retired serial
+  // model (which folded none) are rejected as stale; both markers differ
+  // from the pre-legacy-port "sharded" marker too.
+  h.str(shards > 0 && soa_capacity ? "sharded-soa" : "sharded-legacy");
 }
 
 }  // namespace p2p::core::internal

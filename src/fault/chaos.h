@@ -1,8 +1,8 @@
-// Crash/restart churn: the fault plan's host-level failure mode. Picks a
-// random online churnable peer on a seed-derived exponential schedule and
-// crashes it abruptly (no graceful BYE — neighbours discover the dead link
-// by timeout, exactly the failure long-running crawls must survive). The
-// peer restarts after a plan-drawn downtime, keeping its identity.
+// Crash/restart churn: the fault plan's host-level failure mode. Strikes a
+// random churnable peer on a seed-derived exponential schedule and crashes
+// it abruptly (no graceful BYE — neighbours discover the dead link by
+// timeout, exactly the failure long-running crawls must survive). The peer
+// restarts after a plan-drawn downtime, keeping its identity.
 #pragma once
 
 #include <atomic>
@@ -19,26 +19,21 @@ class CrashDriver {
   /// against `net`'s executor and only crashes peers managed by `churn`.
   CrashDriver(sim::Network& net, agents::ChurnDriver& churn, FaultInjector& injector);
 
-  /// Schedule the first crash (no-op when crashes_per_hour is zero).
+  /// Schedule every crash before `horizon` (the study end); no-op when
+  /// crashes_per_hour is zero. Call before the first run.
   ///
-  /// Sharded mode needs `horizon` (the study end): the whole crash schedule
-  /// is precomputed from the plan's crash stream before the run and each
-  /// strike is bootstrap-posted to its victim's entity. Victims are drawn
-  /// over ALL churnable specs — an offline victim makes the strike a no-op —
-  /// rather than serial mode's online-only pick, because the online set at a
-  /// future instant isn't knowable up front. A band-level model difference
-  /// (see DESIGN.md); the realized crash rate scales with the online
-  /// fraction.
-  void start(sim::SimTime horizon = sim::SimTime::zero());
+  /// The whole crash schedule is precomputed from the plan's crash stream
+  /// and each strike is bootstrap-posted to its victim's entity. Victims
+  /// are drawn over ALL churnable specs — an offline victim makes the strike
+  /// a no-op — because the online set at a future instant isn't knowable up
+  /// front; the realized crash rate scales with the online fraction.
+  void start(sim::SimTime horizon);
 
   [[nodiscard]] std::uint64_t crashes() const {
     return crashes_.load(std::memory_order_relaxed);
   }
 
  private:
-  void schedule_next();
-  void crash_one();
-
   sim::Network& net_;
   agents::ChurnDriver& churn_;
   FaultInjector& injector_;

@@ -13,11 +13,11 @@ namespace {
 /// fixed order. Adding a category appends to the walk so existing streams
 /// keep their values.
 struct StreamSeeds {
-  std::uint64_t message, corrupt, crawler, crash;
+  std::uint64_t message, crawler, crash;
   explicit StreamSeeds(std::uint64_t seed) {
     std::uint64_t state = seed ^ 0xfa17'5eed'c0deull;
     message = util::splitmix64(state);
-    corrupt = util::splitmix64(state);
+    (void)util::splitmix64(state);  // a retired stream; keeps the next two
     crawler = util::splitmix64(state);
     crash = util::splitmix64(state);
   }
@@ -126,48 +126,9 @@ std::string describe(const FaultSpec& spec) {
 FaultPlan::FaultPlan(FaultSpec spec, std::uint64_t seed)
     : spec_(spec),
       seed_(seed),
-      message_rng_(StreamSeeds(seed).message),
-      corrupt_rng_(StreamSeeds(seed).corrupt),
+      message_seed_(StreamSeeds(seed).message),
       crawler_rng_(StreamSeeds(seed).crawler),
       crash_rng_(StreamSeeds(seed).crash) {}
-
-bool FaultPlan::drop_message() {
-  return spec_.message_loss > 0.0 && message_rng_.chance(spec_.message_loss);
-}
-
-std::optional<sim::SimDuration> FaultPlan::extra_delay() {
-  if (spec_.message_delay <= 0.0 || !message_rng_.chance(spec_.message_delay)) {
-    return std::nullopt;
-  }
-  std::int64_t max_ms = std::max<std::int64_t>(1, spec_.message_delay_max.count_ms());
-  return sim::SimDuration::millis(
-      static_cast<std::int64_t>(message_rng_.bounded(static_cast<std::uint64_t>(max_ms))) + 1);
-}
-
-bool FaultPlan::duplicate_message() {
-  return spec_.message_duplicate > 0.0 && message_rng_.chance(spec_.message_duplicate);
-}
-
-bool FaultPlan::corrupt_payload(util::Bytes& payload) {
-  if (spec_.payload_corrupt <= 0.0 || payload.empty() ||
-      !corrupt_rng_.chance(spec_.payload_corrupt)) {
-    return false;
-  }
-  apply_corruption(corrupt_rng_, {payload.data(), payload.size()});
-  return true;
-}
-
-bool FaultPlan::corrupt_payload(util::Payload& payload) {
-  // Identical decision stream to the Bytes overload: the cheap roll gates
-  // first; only a payload that will actually be corrupted pays the
-  // copy-on-write clone inside mutate().
-  if (spec_.payload_corrupt <= 0.0 || payload.empty() ||
-      !corrupt_rng_.chance(spec_.payload_corrupt)) {
-    return false;
-  }
-  apply_corruption(corrupt_rng_, payload.mutate());
-  return true;
-}
 
 void FaultPlan::apply_corruption(util::Rng& rng, std::span<std::uint8_t> payload) {
   std::size_t flips = 1 + static_cast<std::size_t>(rng.bounded(4));
@@ -219,45 +180,13 @@ std::size_t FaultPlan::pick_victim(std::size_t bound) {
   return crash_rng_.index(bound);
 }
 
-sim::SendFaults FaultInjector::on_send(util::Payload& payload) {
-  sim::SendFaults f;
-  if (plan_.drop_message()) {
-    f.drop = true;
-    counters_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
-    FaultMetrics::get().messages_dropped.add(1);
-  }
-  // The delay/duplicate draws still run for dropped messages so the message
-  // stream advances exactly once per send, whatever this message's fate.
-  if (auto extra = plan_.extra_delay()) {
-    f.extra_delay = *extra;
-    if (!f.drop) {
-      counters_.messages_delayed.fetch_add(1, std::memory_order_relaxed);
-      FaultMetrics::get().messages_delayed.add(1);
-    }
-  }
-  if (plan_.duplicate_message()) {
-    f.duplicate = true;
-    if (!f.drop) {
-      counters_.messages_duplicated.fetch_add(1, std::memory_order_relaxed);
-      FaultMetrics::get().messages_duplicated.add(1);
-    }
-  }
-  if (!f.drop && plan_.corrupt_payload(payload)) {
-    counters_.payloads_corrupted.fetch_add(1, std::memory_order_relaxed);
-    FaultMetrics::get().payloads_corrupted.add(1);
-  }
-  return f;
-}
-
 sim::SendFaults FaultInjector::on_send_keyed(util::Payload& payload,
                                              std::uint64_t key) {
   // One private stream per message, derived from (plan seed, message key):
   // touching no shared plan state makes the decision independent of which
   // worker executes the send, and the key is intrinsic to the simulation,
   // so the whole fault schedule is byte-stable across shard counts.
-  std::uint64_t state = plan_.seed() ^ 0xfa17'5eed'c0deull;
-  std::uint64_t derived = util::splitmix64(state) ^ key;
-  util::Rng rng(derived);
+  util::Rng rng(plan_.message_seed() ^ key);
   const FaultSpec& spec = plan_.spec();
 
   sim::SendFaults f;

@@ -90,18 +90,9 @@ class FaultPlan {
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  // Message-layer decisions, one call per sent message.
-  bool drop_message();
-  /// Extra queueing delay, or nullopt for an on-time delivery.
-  std::optional<sim::SimDuration> extra_delay();
-  bool duplicate_message();
-  /// Maybe flip 1-4 bytes of `payload` in place. Returns true if corrupted;
-  /// a corrupted payload is guaranteed to differ from the original.
-  bool corrupt_payload(util::Bytes& payload);
-  /// Same decision stream over a shared payload: the copy-on-write clone
-  /// happens only after the (rarely taken) corruption roll passes, so the
-  /// fault-free common case never touches the buffer.
-  bool corrupt_payload(util::Payload& payload);
+  /// Base of the per-message decision streams: FaultInjector derives each
+  /// message's private stream from this and the message's key.
+  [[nodiscard]] std::uint64_t message_seed() const { return message_seed_; }
 
   // Crawler-layer decisions.
   bool download_stalls();
@@ -114,15 +105,13 @@ class FaultPlan {
   [[nodiscard]] std::size_t pick_victim(std::size_t bound);
 
   /// Flip 1-4 bytes, guaranteeing a net change, consuming draws from `rng`
-  /// (the member streams for the serial path; a per-message stream for the
-  /// sharded keyed path).
+  /// (a message's private stream).
   static void apply_corruption(util::Rng& rng, std::span<std::uint8_t> payload);
 
  private:
   FaultSpec spec_;
   std::uint64_t seed_;
-  util::Rng message_rng_;
-  util::Rng corrupt_rng_;
+  std::uint64_t message_seed_;
   util::Rng crawler_rng_;
   util::Rng crash_rng_;
 };
@@ -159,7 +148,7 @@ struct FaultMetrics {
 
 /// Plan + counting, wired into sim::Network as its message-fault hook and
 /// handed to the crawlers for transfer/scan faults. One injector per study
-/// run. The plan's serial streams (on_send, the crawler hooks, the crash
+/// run. The plan's streams used here (the crawler hooks, the crash
 /// schedule) are single-consumer; the counters are atomic, so the keyed
 /// send path — which derives a private per-message stream and touches no
 /// plan state — may run concurrently from sharded-engine workers.
@@ -167,13 +156,12 @@ class FaultInjector final : public sim::MessageFaultHook {
  public:
   FaultInjector(FaultSpec spec, std::uint64_t seed) : plan_(spec, seed) {}
 
-  // sim::MessageFaultHook: one call per sim::Network::send of a live
-  // connection; may corrupt the payload via its copy-on-write path.
-  sim::SendFaults on_send(util::Payload& payload) override;
-  /// Sharded-network variant: all decisions come from a stream derived from
-  /// (plan seed, key) — the same decision for the same message whatever
-  /// thread or order the sends execute in. Draw order within a message
-  /// mirrors on_send (drop, delay, duplicate, corrupt).
+  /// sim::MessageFaultHook: one call per sim::Network::send of a live
+  /// connection; may corrupt the payload via its copy-on-write path. All
+  /// decisions come from a stream derived from (plan seed, key) — the same
+  /// decision for the same message whatever thread or order the sends
+  /// execute in. Draw order within a message: drop, delay, duplicate,
+  /// corrupt.
   sim::SendFaults on_send_keyed(util::Payload& payload,
                                 std::uint64_t key) override;
 

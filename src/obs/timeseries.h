@@ -4,7 +4,7 @@
 // A TimeSeriesRecorder closes a window every `window` of simulated time and
 // records, per window, the delta of every registered counter since the
 // previous window plus the current value of every gauge. Sampling happens
-// *between* events (the study loop tiles EventQueue::run_until at window
+// *between* events (the study loop tiles ShardedEngine::run_until at window
 // boundaries, which is exactly behavior-neutral — run_until executes every
 // event with at <= until either way), so a recorded run produces the same
 // records, report, and metrics as an unrecorded one.

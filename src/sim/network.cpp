@@ -1,7 +1,6 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -26,7 +25,7 @@ Network::Metrics::Metrics()
 namespace {
 
 /// Stateless mixer for intrinsic draws: a splitmix64 chain over up to three
-/// words. Every sharded-mode random decision (latency, fault key) is a pure
+/// words. Every random decision the network makes (latency, fault key) is a pure
 /// function of (seed, origin slot, origin sequence) through this, so it
 /// never depends on thread or shard interleaving.
 std::uint64_t mix_key(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0) {
@@ -36,66 +35,36 @@ std::uint64_t mix_key(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0) {
   return util::splitmix64(state);
 }
 
+ShardedEngine::Config engine_config(ShardingConfig sharding) {
+  ShardedEngine::Config cfg;
+  cfg.shards = sharding.shards;
+  cfg.lookahead = sharding.lookahead;
+  cfg.worker_context = std::move(sharding.worker_context);
+  return cfg;
+}
+
 }  // namespace
 
 Network::Network(std::uint64_t seed, ShardingConfig sharding)
-    : rng_(seed), seed_(seed), lookahead_(sharding.lookahead) {
-  if (sharding.shards > 0) {
-    ShardedEngine::Config cfg;
-    cfg.shards = sharding.shards;
-    cfg.lookahead = sharding.lookahead;
-    cfg.worker_context = std::move(sharding.worker_context);
-    sharded_ = std::make_unique<ShardedEngine>(cfg);
-  }
+    : engine_(engine_config(sharding)), seed_(seed), lookahead_(sharding.lookahead) {
   // Stamp log lines with this network's simulated clock (see util/log.h).
   util::Logger::instance().set_sim_clock([this] { return now(); });
 }
 
 Network::~Network() { util::Logger::instance().clear_sim_clock(); }
 
-EventQueue& Network::events() {
-  if (sharded_) {
-    throw std::logic_error(
-        "Network::events: no serial queue on a sharded network (use engine())");
-  }
-  return events_;
-}
-
 NodeId Network::add_node(std::unique_ptr<Node> node, HostProfile profile) {
   if (!node) throw std::invalid_argument("Network::add_node: null node");
-  if (sharded_) {
-    NodeId id = register_peer(profile);
-    attach_node(id, std::move(node));
-    return id;
-  }
-  NodeId id = static_cast<NodeId>(slots_.size());
-  node->id_ = id;
-  node->network_ = this;
-  slots_.push_back(Slot{std::move(node), profile, 0, {}});
-  ++alive_count_;
-  if (!profile.behind_nat) {
-    listeners_[util::Endpoint{profile.ip, profile.port}] = id;
-  }
-  // start() runs from the event loop so constructors can't observe a
-  // half-built network; resolved at fire time in case the node is removed
-  // before the event runs.
-  events_.schedule_in(SimDuration::millis(0), [this, id] {
-    if (Node* n = this->node(id)) n->start();
-  });
-  metrics_.nodes_alive.set(static_cast<std::int64_t>(alive_count_));
-  P2P_TRACE(obs::Component::kNet, "node_join", events_.now(), obs::tf("node", id),
-            obs::tf("ip", profile.ip.str()), obs::tf("nat", profile.behind_nat));
+  NodeId id = register_peer(profile);
+  attach_node(id, std::move(node));
   return id;
 }
 
 NodeId Network::register_peer(HostProfile profile) {
-  if (!sharded_) {
-    throw std::logic_error("Network::register_peer: sharded mode only");
-  }
   NodeId id = static_cast<NodeId>(slots_.size());
   Slot& slot = slots_.emplace_back();
   slot.profile = profile;
-  slot.entity = sharded_->add_entity(id);  // throws if a run is in progress
+  slot.entity = engine_.add_entity(id);  // throws if a run is in progress
   if (!profile.behind_nat) {
     listeners_[util::Endpoint{profile.ip, profile.port}] = id;
   }
@@ -103,7 +72,6 @@ NodeId Network::register_peer(HostProfile profile) {
 }
 
 void Network::attach_node(NodeId id, std::unique_ptr<Node> node) {
-  if (!sharded_) throw std::logic_error("Network::attach_node: sharded mode only");
   if (!node) throw std::invalid_argument("Network::attach_node: null node");
   if (id >= slots_.size()) throw std::out_of_range("Network::attach_node");
   Slot& slot = slots_[id];
@@ -113,10 +81,11 @@ void Network::attach_node(NodeId id, std::unique_ptr<Node> node) {
   slot.node = std::move(node);
   alive_count_.fetch_add(1, std::memory_order_relaxed);
   // start() runs from the slot's own event context (self-post before a run
-  // becomes a bootstrap insert); the generation guard skips it if the
-  // instance churns away before the event fires.
+  // becomes a bootstrap insert) so constructors can't observe a half-built
+  // network; the generation guard skips it if the instance churns away
+  // before the event fires.
   std::uint64_t gen = slot.generation;
-  sharded_->post(slot.entity, now(), [this, id, gen] {
+  engine_.post(slot.entity, now(), [this, id, gen] {
     Slot& s = slots_[id];
     if (s.node && s.generation == gen) s.node->start();
   });
@@ -125,35 +94,33 @@ void Network::attach_node(NodeId id, std::unique_ptr<Node> node) {
             obs::tf("nat", slot.profile.behind_nat));
 }
 
-Engine::EntityId Network::entity_of(NodeId id) const {
+ShardedEngine::EntityId Network::entity_of(NodeId id) const {
   if (id >= slots_.size()) throw std::out_of_range("Network::entity_of");
   return slots_[id].entity;
 }
 
 void Network::remove_node(NodeId id) {
-  if (sharded_) {
-    detach_sharded(id);
-    return;
-  }
   if (id >= slots_.size() || !slots_[id].node) return;
-  // Close every connection touching this node — found via the node's own
-  // conn-id list rather than a scan of the whole (ever-grown) table.
-  std::vector<ConnId> to_close;
-  for (ConnId cid : slots_[id].conns) {
-    const Connection* c = find_conn(cid);
-    if (c != nullptr && !c->closed && (c->a == id || c->b == id)) {
-      to_close.push_back(cid);
+  settle(id);
+  Slot& slot = slots_[id];
+  // Close every half this endpoint owns; peers learn via notify posts. The
+  // listener endpoint stays registered (the partition must not change
+  // mid-run) — connects to a detached slot are refused at the target.
+  for (Half& h : slot.halves.span()) {
+    if (h.closed) continue;
+    bool was_open = close_half(id, h);
+    if (was_open) {
+      P2P_TRACE(obs::Component::kNet, "conn_close", now(), obs::tf("conn", h.cid),
+                obs::tf("closer", id));
     }
+    notify_close(h.cid, h.peer, SimDuration::millis(h.latency_ms));
   }
-  for (ConnId cid : to_close) close(cid, id);
-  slots_[id].conns.clear();
-  const auto& prof = slots_[id].profile;
-  if (!prof.behind_nat) listeners_.erase(util::Endpoint{prof.ip, prof.port});
-  slots_[id].node.reset();
-  slots_[id].generation++;
-  --alive_count_;
-  metrics_.nodes_alive.set(static_cast<std::int64_t>(alive_count_));
-  P2P_TRACE(obs::Component::kNet, "node_leave", events_.now(), obs::tf("node", id));
+  slot.halves.clear();
+  slot.releases.clear();
+  slot.node.reset();
+  slot.generation++;
+  alive_count_.fetch_sub(1, std::memory_order_relaxed);
+  P2P_TRACE(obs::Component::kNet, "node_leave", now(), obs::tf("node", id));
 }
 
 bool Network::alive(NodeId id) const {
@@ -175,237 +142,14 @@ std::optional<NodeId> Network::lookup(const util::Endpoint& ep) const {
   return it->second;
 }
 
-SimDuration Network::draw_latency() {
-  auto lo = latency_model.min.count_ms();
-  auto hi = latency_model.max.count_ms();
-  return SimDuration::millis(rng_.range(lo, std::max(lo, hi)));
-}
-
-ConnId Network::connect(NodeId from, NodeId to) {
-  if (sharded_) return connect_sharded(from, to);
-  metrics_.connects_attempted.add(1);
-  ConnId cid = next_conn_++;
-  assert(cid - 1 == conn_slots_.size() && "ConnIds index the slot table");
-  ConnSlot& slot = conn_slots_.emplace_back();
-  slot.live = true;
-  slot.conn.a = from;
-  slot.conn.b = to;
-  slot.conn.latency = draw_latency();
-  if (from < slots_.size()) slots_[from].conns.push_back(cid);
-  if (to < slots_.size()) slots_[to].conns.push_back(cid);
-
-  events_.schedule_in(slot.conn.latency, [this, cid, from, to] {
-    auto* conn = find_conn(cid);
-    if (!conn || conn->closed) return;
-    Node* initiator = node(from);
-    Node* target = node(to);
-    bool refused = !target || profile(to).behind_nat || !target->accept_connection(from);
-    if (refused || !initiator) {
-      conn->closed = true;
-      metrics_.connects_failed.add(1);
-      if (initiator) initiator->on_connection_failed(cid, to);
-      erase_conn(cid);
-      return;
-    }
-    conn->open = true;
-    ++open_conns_;
-    metrics_.connections_opened.add(1);
-    metrics_.connections_open.add(1);
-    P2P_TRACE(obs::Component::kNet, "conn_open", events_.now(),
-              obs::tf("conn", cid), obs::tf("from", from), obs::tf("to", to));
-    SimTime now = events_.now();
-    conn->tx_free_a_to_b = now;
-    conn->tx_free_b_to_a = now;
-    target->on_connection_open(cid, from, /*initiated=*/false);
-    // The initiator learns of success one RTT after starting.
-    if (auto* c2 = find_conn(cid); c2 && c2->open) {
-      events_.schedule_in(c2->latency, [this, cid, from, to] {
-        auto* c3 = find_conn(cid);
-        if (!c3 || !c3->open || c3->closed) return;
-        if (Node* n = node(from)) n->on_connection_open(cid, to, /*initiated=*/true);
-      });
-    }
-  });
-  return cid;
-}
-
-void Network::send(ConnId conn, NodeId sender, util::Payload payload) {
-  if (sharded_) return send_sharded(conn, sender, std::move(payload));
-  auto* c = find_conn(conn);
-  if (!c || !c->open || c->closed) {
-    metrics_.messages_dropped.add(1);
-    return;
-  }
-  if (sender != c->a && sender != c->b) {
-    throw std::invalid_argument("Network::send: sender not on connection");
-  }
-  NodeId receiver = (sender == c->a) ? c->b : c->a;
-  if (!alive(sender) || !alive(receiver)) {
-    metrics_.messages_dropped.add(1);
-    return;
-  }
-  metrics_.messages_sent.add(1);
-  metrics_.message_bytes.record(static_cast<std::int64_t>(payload.size()));
-
-  // Fault injection (src/fault): decided before the transfer is scheduled.
-  // A dropped message still serializes on the sender's uplink below — the
-  // bytes were transmitted, they just never arrive. Corruption mutates via
-  // Payload::mutate(), so a shared broadcast buffer is cloned rather than
-  // altered under its other senders.
-  SendFaults faults;
-  if (fault_hook_ != nullptr) faults = fault_hook_->on_send(payload);
-
-  // Transfer time: size over the tighter of the two access links, serialized
-  // behind earlier sends in the same direction.
-  double bps = std::min(profile(sender).uplink_bps, profile(receiver).downlink_bps);
-  auto transfer_ms = static_cast<std::int64_t>(
-      1000.0 * static_cast<double>(payload.size()) / std::max(1.0, bps));
-  SimTime& tx_free = (sender == c->a) ? c->tx_free_a_to_b : c->tx_free_b_to_a;
-  SimTime start = std::max(events_.now(), tx_free);
-  SimTime done = start + SimDuration::millis(transfer_ms);
-  tx_free = done;
-  SimTime arrival = done + c->latency + faults.extra_delay;
-
-  if (faults.drop) {
-    metrics_.messages_dropped.add(1);
-    return;
-  }
-  if (faults.duplicate) {
-    // The duplicate shares the (possibly corrupted) buffer with the primary
-    // delivery — a refcount bump, not a copy; nothing is materialized at
-    // all unless the fault plan asked for a duplicate, and the drop check
-    // above already disposed of lost messages.
-    events_.schedule_at(arrival + SimDuration::millis(1),
-                        [this, conn, receiver, payload] {
-                          deliver(conn, receiver, payload);
-                        });
-  }
-  events_.schedule_at(arrival, [this, conn, receiver, payload = std::move(payload)] {
-    deliver(conn, receiver, payload);
-  });
-}
-
-void Network::deliver(ConnId conn, NodeId to, const util::Payload& payload) {
-  // Graceful-close semantics: bytes sent while the connection was open are
-  // delivered even if a close raced them (as TCP flushes before FIN); only
-  // receiver death drops them.
-  auto* c = find_conn(conn);
-  if (!c) {
-    metrics_.messages_dropped.add(1);
-    return;
-  }
-  Node* n = node(to);
-  if (!n) {
-    metrics_.messages_dropped.add(1);
-    return;
-  }
-  ++messages_delivered_;
-  bytes_delivered_ += payload.size();
-  metrics_.messages_delivered.add(1);
-  metrics_.bytes_delivered.add(payload.size());
-  n->on_message(conn, payload);
-}
-
-void Network::close(ConnId conn, NodeId closer) {
-  if (sharded_) return close_sharded(conn, closer);
-  auto* c = find_conn(conn);
-  if (!c || c->closed) return;
-  c->closed = true;
-  bool was_open = c->open;
-  c->open = false;
-  NodeId peer = (closer == c->a) ? c->b : c->a;
-  if (was_open) {
-    --open_conns_;
-    metrics_.connections_closed.add(1);
-    metrics_.connections_open.add(-1);
-    P2P_TRACE(obs::Component::kNet, "conn_close", events_.now(),
-              obs::tf("conn", conn), obs::tf("closer", closer));
-    events_.schedule_in(c->latency, [this, conn, peer] {
-      if (Node* n = node(peer)) n->on_connection_closed(conn);
-    });
-  }
-  // Reclaim the entry once the close notification and any short in-flight
-  // messages have had time to land; later arrivals are dropped (RST-like).
-  events_.schedule_in(c->latency * 2 + SimDuration::seconds(10),
-                      [this, conn] { erase_conn(conn); });
-}
-
-bool Network::connection_open(ConnId conn) const {
-  if (sharded_) {
-    // Inspect the initiator's half (tests / between-runs use only).
-    NodeId init = conn_initiator(conn);
-    if (init >= slots_.size()) return false;
-    for (const Half& h : slots_[init].halves.span()) {
-      if (h.cid == conn) return h.open && !h.closed;
-    }
-    return false;
-  }
-  const auto* c = find_conn(conn);
-  return c && c->open && !c->closed;
-}
-
-NodeId Network::peer_of(ConnId conn, NodeId self) const {
-  if (sharded_) {
-    if (self >= slots_.size()) return kInvalidNode;
-    for (const Half& h : slots_[self].halves.span()) {
-      if (h.cid == conn) return h.peer;
-    }
-    return kInvalidNode;
-  }
-  const auto* c = find_conn(conn);
-  if (!c) return kInvalidNode;
-  if (c->a == self) return c->b;
-  if (c->b == self) return c->a;
-  return kInvalidNode;
-}
-
-std::size_t Network::open_connection_count() const {
-  if (sharded_) {
-    return open_halves_.load(std::memory_order_relaxed) / 2;
-  }
-#ifndef NDEBUG
-  // The counter must agree with a full recount of the table; a drift here
-  // means some open/close path forgot to maintain it.
-  std::size_t recount = static_cast<std::size_t>(
-      std::count_if(conn_slots_.begin(), conn_slots_.end(), [](const ConnSlot& s) {
-        return s.live && s.conn.open && !s.conn.closed;
-      }));
-  assert(recount == open_conns_ && "open-connection counter drifted");
-#endif
-  return open_conns_;
-}
-
-Network::Connection* Network::find_conn(ConnId id) {
-  if (id == 0 || id > conn_slots_.size()) return nullptr;
-  ConnSlot& slot = conn_slots_[id - 1];
-  return slot.live ? &slot.conn : nullptr;
-}
-
-const Network::Connection* Network::find_conn(ConnId id) const {
-  if (id == 0 || id > conn_slots_.size()) return nullptr;
-  const ConnSlot& slot = conn_slots_[id - 1];
-  return slot.live ? &slot.conn : nullptr;
-}
-
-void Network::erase_conn(ConnId id) {
-  if (id == 0 || id > conn_slots_.size()) return;
-  ConnSlot& slot = conn_slots_[id - 1];
-  if (!slot.live) return;
-  assert(!(slot.conn.open && !slot.conn.closed) &&
-         "erasing a connection that is still open");
-  slot.live = false;
-  slot.generation++;
-  slot.conn = Connection{};
-}
-
 // ---------------------------------------------------------------------------
-// Sharded mode. Connection state is split into per-endpoint halves owned by
-// each slot's entity; every cross-host effect travels as an engine post at
-// least one connection latency (>= the lookahead floor) in the future. All
-// of the functions below run on the owning slot's entity context — the
-// engine serializes a slot's events, so no half is ever touched by two
-// threads. Shared totals (open_halves_, messages_delivered_, metrics) are
-// relaxed atomics: sums commute, so they are deterministic at barriers.
+// Connections. State is split into per-endpoint halves owned by each slot's
+// entity; every cross-host effect travels as an engine post at least one
+// connection latency (>= the lookahead floor) in the future. All of the
+// functions below run on the owning slot's entity context — the engine
+// serializes a slot's events, so no half is ever touched by two threads.
+// Shared totals (open_halves_, messages_delivered_, metrics) are relaxed
+// atomics: sums commute, so they are deterministic at barriers.
 // ---------------------------------------------------------------------------
 
 SimDuration Network::draw_latency_keyed(NodeId initiator,
@@ -417,39 +161,136 @@ SimDuration Network::draw_latency_keyed(NodeId initiator,
       lo + static_cast<std::int64_t>(x % static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
-Network::Half* Network::find_half(NodeId id, ConnId cid) {
-  for (Half& h : slots_[id].halves.span()) {
-    if (h.cid == cid) return &h;
+std::uint32_t Network::HalfVec::home(ConnId cid) const {
+  return static_cast<std::uint32_t>((cid * 0x9e3779b97f4a7c15ull) >> 32) & mask();
+}
+
+std::uint32_t Network::HalfVec::probe(ConnId cid) const {
+  std::uint32_t i = home(cid);
+  while (index[i] != 0 && data[index[i] - 1].cid != cid) i = (i + 1) & mask();
+  return i;
+}
+
+const Network::Half* Network::HalfVec::find(ConnId cid) const {
+  if (size == 0) return nullptr;
+  std::uint32_t p = index[probe(cid)];
+  return p != 0 ? &data[p - 1] : nullptr;
+}
+
+void Network::HalfVec::index_position(std::uint32_t pos) {
+  // First empty slot of the run: a duplicate ConnId (a self-connection
+  // holds both halves) stays behind the first, as a linear scan finds it.
+  std::uint32_t i = home(data[pos].cid);
+  while (index[i] != 0) i = (i + 1) & mask();
+  index[i] = pos + 1;
+}
+
+void Network::HalfVec::unindex(std::uint32_t hole) {
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home lies cyclically in (hole, j].
+  std::uint32_t i = hole;
+  for (std::uint32_t j = (hole + 1) & mask(); index[j] != 0; j = (j + 1) & mask()) {
+    std::uint32_t k = home(data[index[j] - 1].cid);
+    bool stays = i <= j ? (i < k && k <= j) : (i < k || k <= j);
+    if (!stays) {
+      index[i] = index[j];
+      i = j;
+    }
   }
-  return nullptr;
+  index[i] = 0;
+}
+
+void Network::HalfVec::push(Arena& arena, const Half& half) {
+  if (size == cap) {
+    std::uint32_t ncap = cap != 0 ? cap * 2 : 8;
+    Half* ndata = arena.make_array<Half>(ncap).data();
+    std::copy(data, data + size, ndata);
+    data = ndata;
+    cap = ncap;
+    index = arena.make_array<std::uint32_t>(std::size_t{ncap} * 2).data();
+    std::fill(index, index + std::size_t{ncap} * 2, 0u);
+    for (std::uint32_t p = 0; p < size; ++p) index_position(p);
+  }
+  data[size] = half;
+  index_position(size++);
+}
+
+void Network::HalfVec::erase(ConnId cid) {
+  if (size == 0) return;
+  std::uint32_t hole = probe(cid);
+  if (index[hole] == 0) return;
+  std::uint32_t pos = index[hole] - 1;
+  unindex(hole);
+  std::uint32_t last = size - 1;
+  if (pos != last) {
+    // Swap-with-last, and repoint the moved half's index entry.
+    data[pos] = data[last];
+    std::uint32_t i = home(data[pos].cid);
+    while (index[i] != last + 1) i = (i + 1) & mask();
+    index[i] = pos + 1;
+  }
+  --size;
+}
+
+void Network::HalfVec::clear() {
+  size = 0;
+  if (index != nullptr) std::fill(index, index + std::size_t{cap} * 2, 0u);
+}
+
+namespace {
+
+/// Min-heap order on Release keys for the std heap algorithms.
+template <typename R>
+bool later(const R& a, const R& b) {
+  return ShardQueue::earlier(b.key, a.key);
+}
+
+}  // namespace
+
+void Network::release_at(NodeId id, ConnId cid, SimTime at) {
+  Slot& s = slots_[id];
+  s.releases.push_back(Release{engine_.reserve(s.entity, at), cid});
+  std::push_heap(s.releases.begin(), s.releases.end(), later<Release>);
+}
+
+void Network::settle(NodeId id) {
+  Slot& s = slots_[id];
+  if (s.releases.empty()) return;
+  ShardedEngine::Key now = engine_.current_key();
+  while (!s.releases.empty() && ShardQueue::earlier(s.releases.front().key, now)) {
+    s.halves.erase(s.releases.front().cid);
+    std::pop_heap(s.releases.begin(), s.releases.end(), later<Release>);
+    s.releases.pop_back();
+  }
+}
+
+Network::Half* Network::find_half(NodeId id, ConnId cid) {
+  settle(id);
+  return const_cast<Half*>(slots_[id].halves.find(cid));
+}
+
+const Network::Half* Network::find_half(NodeId id, ConnId cid) const {
+  // Read-only (tests / between runs): a half whose release is due counts
+  // as reclaimed even though settle() has not erased it yet.
+  const Slot& s = slots_[id];
+  ShardedEngine::Key now = engine_.current_key();
+  for (const Release& r : s.releases) {
+    if (r.cid == cid && ShardQueue::earlier(r.key, now)) return nullptr;
+  }
+  return s.halves.find(cid);
 }
 
 void Network::push_half(NodeId id, const Half& half) {
+  settle(id);
   Slot& s = slots_[id];
-  HalfVec& v = s.halves;
-  if (v.size == v.cap) {
-    std::uint32_t ncap = v.cap != 0 ? v.cap * 2 : 8;
-    // The owning shard's arena: single-threaded by construction (this code
-    // runs on the slot's entity). Growth abandons the old block — bump
-    // allocators don't free — which doubling keeps bounded.
-    Arena& arena = sharded_->shard_arena(sharded_->shard_of(s.entity));
-    Half* data = arena.make_array<Half>(ncap).data();
-    std::copy(v.data, v.data + v.size, data);
-    v.data = data;
-    v.cap = ncap;
-  }
-  v.data[v.size++] = half;
+  // The owning shard's arena: single-threaded by construction (this code
+  // runs on the slot's entity).
+  s.halves.push(engine_.shard_arena(engine_.shard_of(s.entity)), half);
 }
 
 void Network::erase_half(NodeId id, ConnId cid) {
-  HalfVec& v = slots_[id].halves;
-  for (std::uint32_t i = 0; i < v.size; ++i) {
-    if (v.data[i].cid == cid) {
-      v.data[i] = v.data[v.size - 1];
-      --v.size;
-      return;
-    }
-  }
+  settle(id);
+  slots_[id].halves.erase(cid);
 }
 
 bool Network::close_half(NodeId id, Half& half) {
@@ -465,7 +306,7 @@ bool Network::close_half(NodeId id, Half& half) {
   return was_open;
 }
 
-ConnId Network::connect_sharded(NodeId from, NodeId to) {
+ConnId Network::connect(NodeId from, NodeId to) {
   metrics_.connects_attempted.add(1);
   Slot& fs = slots_[from];
   std::uint32_t seq = ++fs.conn_seq;
@@ -481,7 +322,7 @@ ConnId Network::connect_sharded(NodeId from, NodeId to) {
 
   if (to >= slots_.size()) {
     // Unknown target: fail back to the initiator after one latency.
-    sharded_->post(fs.entity, now() + latency, [this, cid, from, to] {
+    engine_.post(fs.entity, now() + latency, [this, cid, from, to] {
       Half* h = find_half(from, cid);
       if (!h || h->closed) return;
       close_half(from, *h);
@@ -493,11 +334,8 @@ ConnId Network::connect_sharded(NodeId from, NodeId to) {
   }
 
   // The request reaches the target one latency out; the target decides and
-  // answers — so the initiator learns of failure after a full RTT (the
-  // serial model short-circuits refusals in one latency; a band-level
-  // difference, see DESIGN.md).
-  sharded_->post(slots_[to].entity, now() + latency,
-                 [this, cid, from, to, lat_ms] {
+  // answers — so the initiator learns of failure after a full RTT.
+  engine_.post(slots_[to].entity, now() + latency, [this, cid, from, to, lat_ms] {
     Slot& ts = slots_[to];
     Node* target = ts.node.get();
     bool refused =
@@ -505,7 +343,7 @@ ConnId Network::connect_sharded(NodeId from, NodeId to) {
     SimDuration lat = SimDuration::millis(lat_ms);
     if (refused) {
       metrics_.connects_failed.add(1);
-      sharded_->post(slots_[from].entity, now() + lat, [this, cid, from, to] {
+      engine_.post(slots_[from].entity, now() + lat, [this, cid, from, to] {
         Half* h = find_half(from, cid);
         if (!h || h->closed) return;
         close_half(from, *h);
@@ -526,7 +364,7 @@ ConnId Network::connect_sharded(NodeId from, NodeId to) {
               obs::tf("from", from), obs::tf("to", to));
     target->on_connection_open(cid, from, /*initiated=*/false);
     // Confirm to the initiator one RTT after it started.
-    sharded_->post(slots_[from].entity, now() + lat, [this, cid, from, to] {
+    engine_.post(slots_[from].entity, now() + lat, [this, cid, from, to] {
       Half* h = find_half(from, cid);
       if (!h || h->closed) return;
       h->open = true;
@@ -541,7 +379,7 @@ ConnId Network::connect_sharded(NodeId from, NodeId to) {
   return cid;
 }
 
-void Network::send_sharded(ConnId conn, NodeId sender, util::Payload payload) {
+void Network::send(ConnId conn, NodeId sender, util::Payload payload) {
   Half* h = sender < slots_.size() ? find_half(sender, conn) : nullptr;
   if (!h || !h->open || h->closed) {
     metrics_.messages_dropped.add(1);
@@ -572,24 +410,20 @@ void Network::send_sharded(ConnId conn, NodeId sender, util::Payload payload) {
     metrics_.messages_dropped.add(1);
     return;
   }
-  Engine::EntityId dst = slots_[receiver].entity;
+  ShardedEngine::EntityId dst = slots_[receiver].entity;
   if (faults.duplicate) {
-    sharded_->post(dst, arrival + SimDuration::millis(1),
-                   [this, conn, receiver, payload] {
-                     deliver_sharded(conn, receiver, payload);
-                   });
+    engine_.post(dst, arrival + SimDuration::millis(1),
+                 [this, conn, receiver, payload] { deliver(conn, receiver, payload); });
   }
-  sharded_->post(dst, arrival,
-                 [this, conn, receiver, payload = std::move(payload)] {
-                   deliver_sharded(conn, receiver, payload);
-                 });
+  engine_.post(dst, arrival, [this, conn, receiver, payload = std::move(payload)] {
+    deliver(conn, receiver, payload);
+  });
 }
 
-void Network::deliver_sharded(ConnId conn, NodeId to,
-                              const util::Payload& payload) {
-  // Graceful-close semantics as in serial mode: the receiver's half outlives
-  // the close by a grace period, so bytes sent while open still land; only
-  // receiver death (or the reclaim timer) drops them.
+void Network::deliver(ConnId conn, NodeId to, const util::Payload& payload) {
+  // Graceful-close semantics: the receiver's half outlives the close by a
+  // grace period, so bytes sent while open still land (as TCP flushes
+  // before FIN); only receiver death (or the reclaim timer) drops them.
   Half* h = find_half(to, conn);
   Node* n = slots_[to].node.get();
   if (!h || !n) {
@@ -603,7 +437,7 @@ void Network::deliver_sharded(ConnId conn, NodeId to,
   n->on_message(conn, payload);
 }
 
-void Network::close_sharded(ConnId conn, NodeId closer) {
+void Network::close(ConnId conn, NodeId closer) {
   Half* h = closer < slots_.size() ? find_half(closer, conn) : nullptr;
   if (!h || h->closed) return;
   NodeId peer = h->peer;
@@ -616,53 +450,38 @@ void Network::close_sharded(ConnId conn, NodeId closer) {
   // Always notify the peer — its half can be open even when ours never was
   // (a close racing the accept confirm). The notification travels with the
   // connection latency, so it always arrives after the connect request did.
-  sharded_->post(slots_[peer].entity, now() + lat, [this, conn, peer] {
-    Half* ph = find_half(peer, conn);
+  notify_close(conn, peer, lat);
+  release_at(closer, conn, now() + lat * 2 + SimDuration::seconds(10));
+}
+
+void Network::notify_close(ConnId cid, NodeId peer, SimDuration latency) {
+  engine_.post(slots_[peer].entity, now() + latency, [this, cid, peer] {
+    Half* ph = find_half(peer, cid);
     if (!ph || ph->closed) return;
     bool peer_open = close_half(peer, *ph);
     if (peer_open) {
-      if (Node* n = slots_[peer].node.get()) n->on_connection_closed(conn);
+      if (Node* n = slots_[peer].node.get()) n->on_connection_closed(cid);
     }
     // Reclaim after in-flight messages have had time to land (RST-like).
-    sharded_->post(slots_[peer].entity, now() + SimDuration::seconds(10),
-                   [this, conn, peer] { erase_half(peer, conn); });
+    release_at(peer, cid, now() + SimDuration::seconds(10));
   });
-  sharded_->post(slots_[closer].entity, now() + lat * 2 + SimDuration::seconds(10),
-                 [this, conn, closer] { erase_half(closer, conn); });
 }
 
-void Network::detach_sharded(NodeId id) {
-  if (id >= slots_.size() || !slots_[id].node) return;
-  Slot& slot = slots_[id];
-  // Close every half this endpoint owns; peers learn via notify posts. The
-  // listener endpoint stays registered (the partition must not change
-  // mid-run) — connects to a detached slot are refused at the target.
-  for (Half& h : slot.halves.span()) {
-    if (h.closed) continue;
-    NodeId peer = h.peer;
-    ConnId cid = h.cid;
-    SimDuration lat = SimDuration::millis(h.latency_ms);
-    bool was_open = close_half(id, h);
-    if (was_open) {
-      P2P_TRACE(obs::Component::kNet, "conn_close", now(), obs::tf("conn", cid),
-                obs::tf("closer", id));
-    }
-    sharded_->post(slots_[peer].entity, now() + lat, [this, cid, peer] {
-      Half* ph = find_half(peer, cid);
-      if (!ph || ph->closed) return;
-      bool peer_open = close_half(peer, *ph);
-      if (peer_open) {
-        if (Node* n = slots_[peer].node.get()) n->on_connection_closed(cid);
-      }
-      sharded_->post(slots_[peer].entity, now() + SimDuration::seconds(10),
-                     [this, cid, peer] { erase_half(peer, cid); });
-    });
-  }
-  slot.halves.size = 0;
-  slot.node.reset();
-  slot.generation++;
-  alive_count_.fetch_sub(1, std::memory_order_relaxed);
-  P2P_TRACE(obs::Component::kNet, "node_leave", now(), obs::tf("node", id));
+bool Network::connection_open(ConnId conn) const {
+  NodeId init = conn_initiator(conn);
+  if (init >= slots_.size()) return false;
+  const Half* h = find_half(init, conn);
+  return h != nullptr && h->open && !h->closed;
+}
+
+NodeId Network::peer_of(ConnId conn, NodeId self) const {
+  if (self >= slots_.size()) return kInvalidNode;
+  const Half* h = find_half(self, conn);
+  return h != nullptr ? h->peer : kInvalidNode;
+}
+
+std::size_t Network::open_connection_count() const {
+  return open_halves_.load(std::memory_order_relaxed) / 2;
 }
 
 void Network::refresh_gauges() {

@@ -11,29 +11,25 @@
 //    slower of the sender's uplink and receiver's downlink, with
 //    per-direction serialization so back-to-back sends queue.
 //
-// Single-threaded on top of EventQueue by default; all callbacks fire from
-// the event loop, never re-entrantly from inside send()/connect().
-//
-// Sharded mode (ShardingConfig::shards >= 1) runs the same Node protocol
-// stacks on sim::ShardedEngine instead: every host slot is its own
-// scheduling entity, connection state is split into per-endpoint halves so
-// no two entities share mutable connection state, and every cross-host
-// effect (connect request/confirm, delivery, close notification) travels as
-// an engine post stamped at least one propagation latency in the future —
+// One model, one executor: the network runs on sim::ShardedEngine at any
+// shard count (ShardingConfig::shards, default 1), and output is
+// byte-identical at every count. Every host slot is its own scheduling
+// entity; connection state is split into per-endpoint halves so no two
+// entities share mutable connection state; and every cross-host effect
+// (connect request/answer, delivery, close notification) travels as an
+// engine post stamped at least one propagation latency in the future —
 // which satisfies the conservative lookahead floor because connection
-// latencies are clamped to >= the lookahead. Output is byte-identical at
-// every shard count; it is a *different model* than the serial path (see
-// DESIGN.md "Sharded execution"), which stays byte-identical to previous
-// releases.
+// latencies are clamped to >= the lookahead. All callbacks fire from the
+// event loop, never re-entrantly from inside send()/connect(). See DESIGN.md
+// "Sharded execution" for the semantics this implies (a refusal reaches the
+// initiator after a full round trip; a send to a dead peer counts as sent
+// and drops at delivery).
 //
 // Hot-path layout (see DESIGN.md "Simulation-core performance"): payloads
 // are shared util::Payload buffers (a broadcast serializes once), the
-// connection table is a slot vector indexed directly by the sequential
-// ConnId (the same never-reused pattern as the node slots_), and the
-// listener table is hashed — so send/deliver/lookup do no tree walks and
-// no per-hop byte copies. In sharded mode the per-slot connection halves
-// live in the owning shard's arena (sim::Arena), so a shard's connection
-// working set stays contiguous and thread-local.
+// listener table is hashed, and each slot's connection halves live in the
+// owning shard's arena (sim::Arena), so a shard's connection working set
+// stays contiguous and thread-local.
 #pragma once
 
 #include <atomic>
@@ -47,7 +43,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/event_queue.h"
 #include "sim/sharded_engine.h"
 #include "util/bytes.h"
 #include "util/ip.h"
@@ -90,30 +85,21 @@ struct SendFaults {
 
 /// Fault-injection hook consulted once per send() on a live connection (see
 /// src/fault). May corrupt the payload via its copy-on-write mutate() —
-/// shared broadcast siblings are unaffected; must be deterministic for a
-/// fixed seed. Null hook == today's fault-free network.
+/// shared broadcast siblings are unaffected. `key` is a stable function of
+/// (sender slot, per-sender send sequence), so the decision must depend
+/// only on the key — never on cross-thread call order — and hooks may be
+/// called concurrently from shard workers. Null hook == a fault-free
+/// network.
 class MessageFaultHook {
  public:
   virtual ~MessageFaultHook() = default;
-  virtual SendFaults on_send(util::Payload& payload) = 0;
-  /// Sharded-mode variant: `key` is a stable function of (sender slot,
-  /// per-sender send sequence), so the decision must depend only on the
-  /// key — never on cross-thread call order. The default forwards to
-  /// on_send(), which is only sound for the serial engine; hooks installed
-  /// on a sharded network must override this with a keyed implementation
-  /// (fault::FaultInjector does).
-  virtual SendFaults on_send_keyed(util::Payload& payload, std::uint64_t key) {
-    (void)key;
-    return on_send(payload);
-  }
+  virtual SendFaults on_send_keyed(util::Payload& payload, std::uint64_t key) = 0;
 };
 
-/// Executor selection for a Network. Default (shards == 0) is the serial
-/// EventQueue — byte-identical to previous releases. shards >= 1 runs the
-/// model on sim::ShardedEngine: one scheduling entity per host slot,
-/// byte-identical output at every shard count.
+/// Executor partition for a Network: the number of sim::ShardedEngine
+/// shards (0 means 1). Output is byte-identical at every shard count.
 struct ShardingConfig {
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   /// Conservative lookahead window; connection latencies are clamped to at
   /// least this, so it must not exceed the intended latency floor.
   SimDuration lookahead = SimDuration::millis(20);
@@ -160,7 +146,7 @@ class Node {
   Network* network_ = nullptr;
 };
 
-/// The simulated network: owns nodes, connections, and the event queue.
+/// The simulated network: owns nodes, connections, and the executor.
 class Network {
  public:
   /// Latency bounds for newly established connections.
@@ -175,40 +161,35 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Serial executor. Only valid in serial mode; throws std::logic_error on
-  /// a sharded network (engine-agnostic callers use engine() instead).
-  EventQueue& events();
-  /// The active executor, whichever mode the network is in.
-  [[nodiscard]] Engine& engine() {
-    return sharded_ ? static_cast<Engine&>(*sharded_) : events_;
-  }
-  [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
-  [[nodiscard]] SimTime now() const {
-    return sharded_ ? sharded_->now() : events_.now();
-  }
-  util::Rng& rng() { return rng_; }
+  /// The executor every node, driver and test schedules on.
+  [[nodiscard]] ShardedEngine& engine() { return engine_; }
+  /// Always true: every network runs on ShardedEngine. Kept because the
+  /// benchmark harness (perfbench/) still calls it.
+  [[nodiscard]] bool sharded() const { return true; }
+  [[nodiscard]] SimTime now() const { return engine_.now(); }
 
   // -- Node lifecycle -------------------------------------------------------
 
+  /// register_peer() + attach_node(): only outside a run, because the
+  /// engine's entity partition must never change mid-run.
   NodeId add_node(std::unique_ptr<Node> node, HostProfile profile);
-  /// Remove a node (churn). All its connections close; queued deliveries
-  /// to/from it are dropped. In sharded mode this detaches the instance but
-  /// keeps the slot (and its listener endpoint) registered, so the peer can
-  /// re-attach with its identity intact; call it from the node's own entity
-  /// context (or between runs).
+  /// Take a node offline (churn). All its connections close (peers learn
+  /// one latency later); queued deliveries to it are dropped. The slot and
+  /// its listener endpoint stay registered, so the peer can re-attach with
+  /// its identity intact; connects to it meanwhile are refused. Call it
+  /// from the node's own entity context (or between runs).
   void remove_node(NodeId id);
 
-  /// Sharded mode only, before the first run: register a host slot (entity +
-  /// listener endpoint) with no live instance. attach_node() brings it
-  /// online; remove_node() takes it offline again. This is how churned peers
-  /// keep a stable slot across sessions — the engine's entity partition must
-  /// never change mid-run.
+  /// Before the first run: register a host slot (entity + listener
+  /// endpoint) with no live instance. attach_node() brings it online;
+  /// remove_node() takes it offline again. This is how churned peers keep a
+  /// stable slot across sessions.
   NodeId register_peer(HostProfile profile);
-  /// Install a fresh instance into a registered slot (sharded churn join).
-  /// Must run on the slot's entity context or before the first run.
+  /// Install a fresh instance into a registered slot (churn join). Must run
+  /// on the slot's entity context or before the first run.
   void attach_node(NodeId id, std::unique_ptr<Node> node);
-  /// The engine entity owning a slot (sharded mode; 0 in serial mode).
-  [[nodiscard]] Engine::EntityId entity_of(NodeId id) const;
+  /// The engine entity owning a slot.
+  [[nodiscard]] ShardedEngine::EntityId entity_of(NodeId id) const;
 
   [[nodiscard]] bool alive(NodeId id) const;
   [[nodiscard]] Node* node(NodeId id);
@@ -217,7 +198,8 @@ class Network {
     return alive_count_.load(std::memory_order_relaxed);
   }
 
-  /// Find the (publicly reachable) node listening on `ep`, if any.
+  /// Find the (publicly reachable) slot listening on `ep`, if any — online
+  /// or not: liveness is the target's to decide when a connect arrives.
   [[nodiscard]] std::optional<NodeId> lookup(const util::Endpoint& ep) const;
 
   // -- Connections ----------------------------------------------------------
@@ -227,8 +209,10 @@ class Network {
   ConnId connect(NodeId from, NodeId to);
 
   /// Send a payload over an open connection from `sender`'s side.
-  /// Silently drops if the connection is no longer open (mirrors TCP send
-  /// after FIN — the study treats those bytes as lost). Accepts anything
+  /// Silently drops if the sender's half is no longer open (mirrors TCP send
+  /// after FIN — the study treats those bytes as lost). A send to a peer
+  /// that died but whose close has not reached the sender yet counts as
+  /// sent and drops at delivery. Accepts anything
   /// convertible to util::Payload; a broadcast should build the Payload
   /// once and pass copies so all hops share one serialized buffer.
   void send(ConnId conn, NodeId sender, util::Payload payload);
@@ -237,6 +221,7 @@ class Network {
   /// propagation delay.
   void close(ConnId conn, NodeId closer);
 
+  /// Whether the initiator's half is open (tests / between-runs use only).
   [[nodiscard]] bool connection_open(ConnId conn) const;
   /// The other endpoint of `conn` relative to `self`.
   [[nodiscard]] NodeId peer_of(ConnId conn, NodeId self) const;
@@ -251,8 +236,8 @@ class Network {
   /// Schedule a callback owned by a node; skipped if the node is removed
   /// before it fires. Templated so the callable lands in the event's
   /// sim::Task inline storage directly, with no std::function detour.
-  /// Sharded mode: the timer is a self-post on the slot's entity, so call
-  /// only from that node's own context (every protocol timer already is).
+  /// The timer is a self-post on the slot's entity, so call only from that
+  /// node's own context or between runs (every protocol timer already is).
   template <typename F>
   void schedule_node(NodeId id, SimDuration delay, F&& fn) {
     if (id >= slots_.size()) return;
@@ -260,11 +245,7 @@ class Network {
     auto guarded = [this, id, gen, fn = std::forward<F>(fn)]() mutable {
       if (id < slots_.size() && slots_[id].node && slots_[id].generation == gen) fn();
     };
-    if (sharded_) {
-      sharded_->post(slots_[id].entity, sharded_->now() + delay, std::move(guarded));
-    } else {
-      events_.schedule_in(delay, std::move(guarded));
-    }
+    engine_.post(slots_[id].entity, engine_.now() + delay, std::move(guarded));
   }
 
   // -- Introspection for tests / stats --------------------------------------
@@ -275,25 +256,23 @@ class Network {
   [[nodiscard]] std::uint64_t bytes_delivered() const {
     return bytes_delivered_.load(std::memory_order_relaxed);
   }
-  /// O(1): maintained by connect/close (debug builds assert it against a
-  /// full recount of the connection table). Sharded mode counts open halves
-  /// and reports half of that; call between runs.
+  /// O(1): counts open halves and reports half of that; call between runs.
   [[nodiscard]] std::size_t open_connection_count() const;
 
-  /// Sharded mode: set the nodes_alive / connections_open gauges from the
-  /// shared atomic totals. The serial path maintains them per event; the
-  /// workers cannot (a per-event high-water mark would depend on thread
-  /// interleaving), so the study loop refreshes them at window boundaries —
-  /// deterministic because every event at or before the boundary has run.
+  /// Set the nodes_alive / connections_open gauges from the shared atomic
+  /// totals. Workers cannot maintain them per event (a per-event high-water
+  /// mark would depend on thread interleaving), so the study loop refreshes
+  /// them at window boundaries — deterministic because every event at or
+  /// before the boundary has run.
   void refresh_gauges();
 
   LatencyModel latency_model;
 
  private:
-  /// Sharded mode: one endpoint's view of a connection. Each slot owns only
-  /// its own halves — the peer's half lives in the peer's slot, touched only
-  /// by the peer's entity — so no connection state is ever shared between
-  /// shard threads. Trivially destructible by design: halves are stored in
+  /// One endpoint's view of a connection. Each slot owns only its own
+  /// halves — the peer's half lives in the peer's slot, touched only by the
+  /// peer's entity — so no connection state is ever shared between shard
+  /// threads. Trivially destructible by design: halves are stored in
   /// the owning shard's arena.
   struct Half {
     ConnId cid = kInvalidConn;
@@ -305,61 +284,70 @@ class Network {
   };
   static_assert(std::is_trivially_destructible_v<Half>);
 
-  /// Grow-doubling span of halves backed by the owning shard's arena (the
-  /// arena has no free(), so growth abandons the old block — fine, blocks
-  /// double). Mutated only from the slot's own entity context.
+  /// A slot's halves: a grow-doubling array backed by the owning shard's
+  /// arena (the arena has no free(), so growth abandons the old block —
+  /// fine, blocks double), plus an open-addressing index from ConnId to
+  /// position (linear probing, load <= 1/2), so a lookup stays O(1) on hub
+  /// nodes holding hundreds of halves. The array order is part of the
+  /// model — remove_node walks it — so erase keeps the swap-with-last
+  /// order. Mutated only from the slot's own entity context.
   struct HalfVec {
     Half* data = nullptr;
+    std::uint32_t* index = nullptr;  // position + 1; 0 = empty
     std::uint32_t size = 0;
     std::uint32_t cap = 0;
     [[nodiscard]] std::span<Half> span() { return {data, size}; }
     [[nodiscard]] std::span<const Half> span() const { return {data, size}; }
+    [[nodiscard]] const Half* find(ConnId cid) const;
+    void push(Arena& arena, const Half& half);
+    void erase(ConnId cid);
+    void clear();
+
+   private:
+    [[nodiscard]] std::uint32_t mask() const { return cap * 2 - 1; }
+    [[nodiscard]] std::uint32_t home(ConnId cid) const;
+    /// Index slot holding `cid`, or the empty slot that ends its probe run.
+    [[nodiscard]] std::uint32_t probe(ConnId cid) const;
+    void index_position(std::uint32_t pos);
+    void unindex(std::uint32_t hole);
+  };
+
+  /// Reclamation of a closed half (RST-like: later arrivals drop). It is
+  /// keyed like the self-post that would do it, and applied by settle()
+  /// once the slot's executing event passes that key — the same point in
+  /// the slot's event order, without queueing an event per close.
+  struct Release {
+    ShardedEngine::Key key;
+    ConnId cid = kInvalidConn;
   };
 
   struct Slot {
     std::unique_ptr<Node> node;  // null after removal
     HostProfile profile;
     std::uint64_t generation = 0;
-    /// Every ConnId this node has ever been an endpoint of; pruned of dead
-    /// ids when scanned. remove_node closes via this list instead of
-    /// walking the whole connection table. (Serial mode only.)
-    std::vector<ConnId> conns;
-    /// Sharded mode: the slot's scheduling entity, its connection halves,
-    /// and the per-slot sequences that make ConnIds / fault keys intrinsic
+    /// The slot's scheduling entity, its connection halves, and the
+    /// per-slot sequences that make ConnIds / fault keys intrinsic
     /// (functions of the initiating slot, never of thread order).
-    Engine::EntityId entity = 0;
+    ShardedEngine::EntityId entity = 0;
     HalfVec halves;
+    /// Closed halves awaiting reclamation, a min-heap on key (see settle()).
+    std::vector<Release> releases;
     std::uint32_t conn_seq = 0;
     std::uint64_t send_seq = 0;
   };
-  struct Connection {
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-    SimDuration latency;
-    bool open = false;     // true once accepted
-    bool closed = false;   // terminal
-    // Earliest time each direction's uplink is free (serialization).
-    SimTime tx_free_a_to_b;
-    SimTime tx_free_b_to_a;
-  };
-  /// Connection-table entry. ConnIds are sequential and never reused, so
-  /// the table is a plain vector indexed by `id - 1` — O(1) lookups with
-  /// no hashing on the per-message path. `live` flips false when the old
-  /// code would have erased the map entry; `generation` counts those
-  /// erasures (asserted in debug against stale-id reuse).
-  struct ConnSlot {
-    Connection conn;
-    std::uint32_t generation = 0;
-    bool live = false;
-  };
 
-  Connection* find_conn(ConnId id);
-  const Connection* find_conn(ConnId id) const;
-  void erase_conn(ConnId id);
   void deliver(ConnId conn, NodeId to, const util::Payload& payload);
-  SimDuration draw_latency();
+  /// Tell `peer` that `closer` closed `cid`, one latency out; its half is
+  /// reclaimed after a grace period for in-flight messages (RST-like).
+  void notify_close(ConnId cid, NodeId peer, SimDuration latency);
+  /// Reclaim slot `id`'s half `cid` at `at` (see Release).
+  void release_at(NodeId id, ConnId cid, SimTime at);
+  /// Apply every release of slot `id` ordered before the executing event.
+  /// Every access to a slot's halves settles first, so the halves evolve
+  /// exactly as if each release were an event of its own.
+  void settle(NodeId id);
 
-  // -- Sharded-mode internals (all run on the owning slot's entity) ---------
+  // All of the internals run on the owning slot's entity context.
 
   /// ConnIds encode the initiating slot (high 32 bits, +1 so 0 stays
   /// invalid) and its per-slot connection sequence — unique forever and a
@@ -373,6 +361,7 @@ class Network {
   [[nodiscard]] SimDuration draw_latency_keyed(NodeId initiator,
                                                std::uint32_t seq) const;
   Half* find_half(NodeId id, ConnId cid);
+  [[nodiscard]] const Half* find_half(NodeId id, ConnId cid) const;
   void push_half(NodeId id, const Half& half);
   void erase_half(NodeId id, ConnId cid);
   /// Mark a half closed (idempotent), maintaining open_halves_ and the
@@ -380,24 +369,13 @@ class Network {
   /// was open before the call.
   bool close_half(NodeId id, Half& half);
 
-  ConnId connect_sharded(NodeId from, NodeId to);
-  void send_sharded(ConnId conn, NodeId sender, util::Payload payload);
-  void close_sharded(ConnId conn, NodeId closer);
-  void deliver_sharded(ConnId conn, NodeId to, const util::Payload& payload);
-  void detach_sharded(NodeId id);
-
-  EventQueue events_;
-  util::Rng rng_;
-  std::unique_ptr<ShardedEngine> sharded_;  // null in serial mode
+  ShardedEngine engine_;
   std::uint64_t seed_ = 0;
   SimDuration lookahead_{};
   std::vector<Slot> slots_;
   std::atomic<std::size_t> alive_count_{0};
-  std::vector<ConnSlot> conn_slots_;
-  std::size_t open_conns_ = 0;                // serial mode
-  std::atomic<std::size_t> open_halves_{0};   // sharded mode (2 per conn)
+  std::atomic<std::size_t> open_halves_{0};  // 2 per open connection
   std::unordered_map<util::Endpoint, NodeId, util::EndpointHash> listeners_;
-  ConnId next_conn_ = 1;
   MessageFaultHook* fault_hook_ = nullptr;
   std::atomic<std::uint64_t> messages_delivered_{0};
   std::atomic<std::uint64_t> bytes_delivered_{0};

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace p2p::sim {
@@ -21,6 +22,7 @@ struct TlCtx {
   const ShardedEngine* engine = nullptr;
   std::size_t shard = 0;
   ShardedEngine::EntityId entity = 0;
+  ShardQueue::Entry key{};  // of the executing event
 };
 thread_local TlCtx tl_ctx;
 
@@ -87,67 +89,14 @@ class ShardedEngine::Impl {
 };
 
 // ---------------------------------------------------------------------------
-// ShardQueue: 4-ary slab heap over the intrinsic (at, oid, oseq) key.
-// ---------------------------------------------------------------------------
-
-void ShardedEngine::ShardQueue::push(Entry entry, EntityId dst, Task action) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    tasks_[slot] = std::move(action);
-    dsts_[slot] = dst;
-  } else {
-    slot = static_cast<std::uint32_t>(tasks_.size());
-    tasks_.push_back(std::move(action));
-    dsts_.push_back(dst);
-  }
-  entry.slot = slot;
-  std::size_t i = heap_.size();
-  heap_.emplace_back();
-  while (i > 0) {
-    std::size_t parent = (i - 1) / kArity;
-    if (!earlier(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-ShardedEngine::ShardQueue::Popped ShardedEngine::ShardQueue::pop() {
-  Entry result = heap_.front();
-  Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(last);
-  Popped popped{result, dsts_[result.slot], std::move(tasks_[result.slot])};
-  free_slots_.push_back(result.slot);
-  return popped;
-}
-
-void ShardedEngine::ShardQueue::sift_down(Entry entry) {
-  std::size_t i = 0;
-  const std::size_t size = heap_.size();
-  for (;;) {
-    std::size_t first_child = i * kArity + 1;
-    if (first_child >= size) break;
-    std::size_t best = first_child;
-    std::size_t end = std::min(first_child + kArity, size);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], entry)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = entry;
-}
-
-// ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
 ShardedEngine::ShardedEngine(Config config)
-    : config_(config), impl_(std::make_unique<Impl>()) {
+    : config_(config),
+      m_executed_(obs::MetricsRegistry::global().counter("sim.events_executed")),
+      m_depth_(obs::MetricsRegistry::global().gauge("sim.queue_depth")),
+      impl_(std::make_unique<Impl>()) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.lookahead <= SimDuration::millis(0)) {
     throw std::invalid_argument("ShardedEngine: lookahead must be positive");
@@ -201,14 +150,14 @@ void ShardedEngine::post(EntityId dst, SimTime at, Task action) {
   EntityId origin = tl_ctx.entity;
   if (dst != origin &&
       at.millis() < src.clock_ms + config_.lookahead.count_ms()) {
-    // Enforced at every shard count (including the serial baseline): a
+    // Enforced at every shard count (including the one-shard baseline): a
     // cross-entity message below the lookahead floor would execute in the
     // current window on one partition and violate conservative delivery on
     // another — the one bug class that breaks shard-count invariance.
     throw std::logic_error(
         "ShardedEngine: cross-entity post below the lookahead floor");
   }
-  Entry entry{at.millis(), next_oseq(origin), origin, 0};
+  Key entry{at.millis(), next_oseq(origin), origin, 0};
   if (dst_shard == tl_ctx.shard) {
     src.queue.push(entry, dst, std::move(action));
   } else {
@@ -225,8 +174,21 @@ void ShardedEngine::insert_bootstrap(EntityId dst, SimTime at, Task action) {
   }
   // Bootstrap posts act as self-posts of the destination: the ordering key
   // derives from dst's own counter, which is identical at any shard count.
-  Entry entry{at.millis(), next_oseq(dst), dst, 0};
+  Key entry{at.millis(), next_oseq(dst), dst, 0};
   shards_[entity_shard_[dst]]->queue.push(entry, dst, std::move(action));
+}
+
+ShardedEngine::Key ShardedEngine::reserve(EntityId dst, SimTime at) {
+  // Mirrors post(): in a handler the origin is the current entity, outside
+  // a run a bootstrap insert is a self-post of the destination.
+  EntityId origin = tl_ctx.engine == this ? tl_ctx.entity : dst;
+  return Key{at.millis(), next_oseq(origin), origin, 0};
+}
+
+ShardedEngine::Key ShardedEngine::current_key() const {
+  if (tl_ctx.engine == this) return tl_ctx.key;
+  return Key{now_.millis(), std::numeric_limits<std::uint64_t>::max(),
+             std::numeric_limits<EntityId>::max(), 0};
 }
 
 void ShardedEngine::schedule_at(SimTime at, Task action) {
@@ -270,6 +232,7 @@ void ShardedEngine::execute_window(std::size_t shard_index,
     shard.last_executed_ms = popped.entry.at_ms;
     ++shard.executed;
     tl_ctx.entity = popped.dst;
+    tl_ctx.key = popped.entry;
     popped.action();
   }
   if (window_end_ms != kNoCap && shard.clock_ms < window_end_ms) {
@@ -324,7 +287,7 @@ void ShardedEngine::run_rounds(std::int64_t until_ms, bool bounded) {
   running_ = true;
 
   if (n == 1) {
-    // Serial fast path: one shard, no workers, no barriers — but the same
+    // One-shard fast path: no workers, no barriers — but the same
     // ordering key and the same lookahead validation, so it is a faithful
     // differential baseline for every multi-shard run.
     try {
@@ -382,15 +345,28 @@ void ShardedEngine::run_rounds(std::int64_t until_ms, bool bounded) {
   impl_->rethrow_if_failed();
 }
 
+void ShardedEngine::record_metrics() {
+  std::uint64_t total = executed();
+  m_executed_.add(total - executed_reported_);
+  executed_reported_ = total;
+  m_depth_.set(static_cast<std::int64_t>(pending()));
+}
+
 void ShardedEngine::run_until(SimTime until) {
+  P2P_TRACE(obs::Component::kSim, "run_until", now_,
+            obs::tf("until_ms", until.millis()), obs::tf("pending", pending()));
+  record_metrics();
   run_rounds(until.millis(), /*bounded=*/true);
+  record_metrics();
   for (auto& s : shards_) s->clock_ms = std::max(s->clock_ms, until.millis());
   if (now_ < until) now_ = until;
 }
 
 void ShardedEngine::run_all() {
   bool had_events = !empty();
+  record_metrics();
   run_rounds(kNoCap, /*bounded=*/false);
+  record_metrics();
   if (had_events) {
     std::int64_t last = now_.millis();
     for (const auto& s : shards_) last = std::max(last, s->last_executed_ms);

@@ -1,15 +1,15 @@
-// Sharded deterministic parallel discrete-event engine.
+// Sharded deterministic parallel discrete-event engine — the simulator's
+// one executor. Every study, test and bench runs on it; one shard is the
+// serial case, with no worker threads and no barriers.
 //
-// The serial EventQueue orders ties by global insertion sequence — a total
-// order that only exists when one thread schedules everything. To run one
-// event loop per shard and still produce byte-identical results at any
-// shard count, this engine changes the ordering contract to an *intrinsic*
-// key: every event is stamped (at, origin-entity, origin-sequence) by its
-// scheduler, and each shard executes its local events in that key order.
-// The key is a pure function of the simulation's own causality — it never
-// depends on which shard ran where or when — so the per-entity event
-// sequences (and therefore all per-entity state, RNG draws, and emitted
-// records) are identical whether the partition has 1 shard or 64.
+// Ordering contract: every event is stamped with an *intrinsic* key
+// (at, origin entity, origin sequence) by its scheduler, and each shard
+// executes its local events in that key order (sim::ShardQueue). The key is
+// a pure function of the simulation's own causality — it never depends on
+// which shard ran where or when — so the per-entity event sequences (and
+// therefore all per-entity state, RNG draws, and emitted records) are
+// identical whether the partition has 1 shard or 64. Events scheduled from
+// the same context for the same instant run in scheduling order.
 //
 // Conservative synchronization (classic Chandy–Misra lookahead, simplified
 // to barrier windows): entities are partitioned over shards by a stable
@@ -20,8 +20,13 @@
 // cross-shard messages to per-link outboxes, and a barrier drains every
 // outbox before the next window opens — no message can ever arrive in a
 // shard's past. The lookahead rule is enforced (throwing) at every shard
-// count including 1, so a model that would deadlock or diverge when
-// parallelized fails loudly in its serial differential baseline too.
+// count including 1, so a model that would diverge when parallelized fails
+// loudly on one shard too.
+//
+// Observability: every run_until/run_all adds the events it executed to
+// `sim.events_executed` and samples the pending-event count into the
+// `sim.queue_depth` gauge at its start and end — run boundaries are the
+// only points where those totals are independent of the shard count.
 //
 // See DESIGN.md "Sharded execution" for the determinism proof sketch and
 // tests/test_shard.cpp for the differential/property harness.
@@ -33,20 +38,25 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/arena.h"
-#include "sim/engine.h"
+#include "sim/shard_queue.h"
 #include "sim/task.h"
 #include "util/sim_time.h"
 
 namespace p2p::sim {
 
-class ShardedEngine final : public Engine {
+using util::SimDuration;
+using util::SimTime;
+
+class ShardedEngine {
  public:
-  using EntityId = Engine::EntityId;
+  /// Scheduling context: which registered entity's handler is running.
+  using EntityId = ShardQueue::EntityId;
 
   struct Config {
-    /// Number of shards (event loops). 1 = serial execution with the same
-    /// ordering contract — the differential baseline.
+    /// Number of shards (event loops); 0 means 1. One shard runs on the
+    /// calling thread with no workers — the differential baseline.
     std::size_t shards = 1;
     /// Minimum cross-entity link latency: every post to another entity must
     /// be scheduled at least this far after the sender's clock. Windows are
@@ -68,7 +78,7 @@ class ShardedEngine final : public Engine {
   };
 
   explicit ShardedEngine(Config config);
-  ~ShardedEngine() override;
+  ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -78,7 +88,7 @@ class ShardedEngine final : public Engine {
   /// the shard (stable hash mod shard count) and must be unique per entity.
   /// Entity 0 always exists (the "ambient" entity schedule_at posts to from
   /// outside any handler).
-  EntityId add_entity(std::uint64_t stable_key) override;
+  EntityId add_entity(std::uint64_t stable_key);
 
   [[nodiscard]] std::size_t entity_count() const { return entity_shard_.size(); }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -86,7 +96,7 @@ class ShardedEngine final : public Engine {
     return entity_shard_.at(entity);
   }
   /// The entity whose handler is currently executing on this thread, or 0.
-  [[nodiscard]] EntityId current_entity() const override;
+  [[nodiscard]] EntityId current_entity() const;
 
   /// Per-shard bulk storage (share indexes, scratch). Owned by the shard's
   /// worker during runs; touch it from other threads only between runs.
@@ -103,74 +113,50 @@ class ShardedEngine final : public Engine {
   /// std::logic_error otherwise — at every shard count). Self-posts (timers)
   /// may use any non-past stamp. From outside a run, posts are bootstrap
   /// inserts: any non-past stamp, any destination.
-  void post(EntityId dst, SimTime at, Task action) override;
+  void post(EntityId dst, SimTime at, Task action);
 
-  /// Engine interface: post to the current entity (inside a handler) or to
-  /// the ambient entity 0 (outside).
-  void schedule_at(SimTime at, Task action) override;
+  /// An event's ordering key (compare with ShardQueue::earlier).
+  using Key = ShardQueue::Entry;
+  /// Consume the origin sequence number a post(dst, at, ...) made now would
+  /// consume and return that post's key, without queueing anything — for a
+  /// model that defers an effect yet must order it exactly as if posted.
+  /// The caller runs the effect once current_key() passes the key.
+  Key reserve(EntityId dst, SimTime at);
+  /// Key of the event executing on this thread; between runs, a key after
+  /// every event at or before now() (all of which have run).
+  [[nodiscard]] Key current_key() const;
+
+  /// Post to the current entity (inside a handler) or to the ambient entity
+  /// 0 (outside). Past stamps throw std::invalid_argument.
+  void schedule_at(SimTime at, Task action);
+  /// Schedule relative to the current clock.
+  void schedule_in(SimDuration delay, Task action) {
+    schedule_at(now() + delay, std::move(action));
+  }
 
   // -- Running -------------------------------------------------------------
 
-  void run_until(SimTime until) override;
-  void run_all() override;
+  /// Run every event with stamp <= until; later events stay queued. On
+  /// return the clock is exactly `until`, even if execution ended earlier.
+  void run_until(SimTime until);
+  /// Drain completely (use only for bounded workloads).
+  void run_all();
 
   /// Between runs: the last run_until target (or last executed stamp after
   /// run_all). Inside a handler: the executing shard's clock (== the
   /// current event's stamp).
-  [[nodiscard]] SimTime now() const override;
+  [[nodiscard]] SimTime now() const;
 
-  [[nodiscard]] bool empty() const override;
-  [[nodiscard]] std::size_t pending() const override;
-  [[nodiscard]] std::uint64_t executed() const override;
+  [[nodiscard]] bool empty() const;
+  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::uint64_t executed() const;
   [[nodiscard]] Stats stats() const;
 
  private:
-  /// Heap node: the intrinsic ordering key plus the closure's slab slot.
-  /// Trivially copyable; sifts move 24 bytes.
-  struct Entry {
-    std::int64_t at_ms;
-    std::uint64_t oseq;  // origin-entity sequence number
-    EntityId oid;        // origin entity
-    std::uint32_t slot;
-  };
-
-  /// Strict total order: (at, origin entity, origin sequence). Origin
-  /// sequences are unique per origin, so no two entries ever compare equal.
-  static bool earlier(const Entry& a, const Entry& b) {
-    if (a.at_ms != b.at_ms) return a.at_ms < b.at_ms;
-    if (a.oid != b.oid) return a.oid < b.oid;
-    return a.oseq < b.oseq;
-  }
-
-  /// Per-shard event queue: the EventQueue's 4-ary slab heap, re-keyed on
-  /// the intrinsic order above. Events carry the destination entity so the
-  /// executor can set the handler context.
-  class ShardQueue {
-   public:
-    struct Popped {
-      Entry entry;
-      EntityId dst;
-      Task action;
-    };
-
-    void push(Entry entry, EntityId dst, Task action);
-    [[nodiscard]] bool empty() const { return heap_.empty(); }
-    [[nodiscard]] std::size_t size() const { return heap_.size(); }
-    [[nodiscard]] const Entry& top() const { return heap_.front(); }
-    Popped pop();
-
-   private:
-    void sift_down(Entry entry);
-    static constexpr std::size_t kArity = 4;
-    std::vector<Entry> heap_;
-    std::vector<Task> tasks_;
-    std::vector<EntityId> dsts_;
-    std::vector<std::uint32_t> free_slots_;
-  };
 
   /// A cross-shard message parked in an outbox until the window barrier.
   struct Msg {
-    Entry entry;
+    Key entry;
     EntityId dst;
     Task action;
   };
@@ -207,6 +193,8 @@ class ShardedEngine final : public Engine {
   void drain_into(std::size_t dst_shard);
   [[nodiscard]] bool plan_round(std::int64_t until_ms, bool bounded);
   void insert_bootstrap(EntityId dst, SimTime at, Task action);
+  /// Publish run-boundary totals to sim.events_executed / sim.queue_depth.
+  void record_metrics();
   [[nodiscard]] std::uint64_t next_oseq(EntityId origin) {
     return oseq_[origin]++;
   }
@@ -223,6 +211,9 @@ class ShardedEngine final : public Engine {
   bool running_ = false;
   RoundPlan plan_;
   Stats stats_;
+  std::uint64_t executed_reported_ = 0;
+  obs::Counter& m_executed_;
+  obs::Gauge& m_depth_;
 
   class Impl;  // worker pool + barrier (sharded_engine.cpp)
   std::unique_ptr<Impl> impl_;

@@ -100,7 +100,7 @@ std::vector<StudyTask> plan(const PlanConfig& config) {
       t.openft.timeseries = config.timeseries;
       t.openft.shards = config.shards;
     } else {
-      // KAD has no sharded driver; config.shards is documented as ignored.
+      // KAD always runs on one shard; config.shards is documented as ignored.
       t.kad = config.quick ? core::kad_quick() : core::kad_standard();
       t.kad.seed = seeds[i];
       if (config.duration) t.kad.crawl.duration = *config.duration;

@@ -77,9 +77,9 @@ struct PlanConfig {
   /// against its own scoped registry, so per-task series are byte-identical
   /// across --jobs counts.
   obs::TimeSeriesConfig timeseries{};
-  /// Sharded-engine worker count per task (0 = serial). Any value >= 1 runs
-  /// the full-fidelity legacy model on the sharded engine; task results are
-  /// identical at every count. Ignored by the KAD driver (serial only).
+  /// Sharded-engine worker count per task (0 means 1); task results are
+  /// identical at every count. Ignored by the KAD driver, which always runs
+  /// on one shard.
   std::size_t shards = 0;
 };
 

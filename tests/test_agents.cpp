@@ -204,7 +204,7 @@ TEST(ChurnDriver, PeersJoinAndLeave) {
   churn_cfg.seed = 11;
   ChurnDriver churn(net, pop.leaf_specs, churn_cfg);
   churn.start();
-  net.events().run_until(sim::SimTime::zero() + SimDuration::hours(6));
+  net.engine().run_until(sim::SimTime::zero() + SimDuration::hours(6));
   EXPECT_GT(churn.joins(), pop.leaf_specs.size());  // rejoin cycles happened
   EXPECT_GT(churn.leaves(), 0u);
   // Stationary occupancy about half.
@@ -219,7 +219,7 @@ TEST(ChurnDriver, NodeOfTracksLiveness) {
   churn_cfg.seed = 12;
   ChurnDriver churn(net, pop.leaf_specs, churn_cfg);
   churn.start();
-  net.events().run_until(sim::SimTime::zero() + SimDuration::minutes(2));
+  net.engine().run_until(sim::SimTime::zero() + SimDuration::minutes(2));
   std::size_t online = 0;
   for (std::size_t i = 0; i < pop.leaf_specs.size(); ++i) {
     sim::NodeId id = churn.node_of(i);

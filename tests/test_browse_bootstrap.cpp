@@ -55,7 +55,7 @@ TEST(Browse, EnumeratesTargetShares) {
   pp.ip = util::Ipv4(60, 0, 0, 2);
   pp.port = 5001;
   net.add_node(std::move(profiler), pp);
-  net.events().run_until(SimTime::zero() + SimDuration::seconds(10));
+  net.engine().run_until(SimTime::zero() + SimDuration::seconds(10));
 
   std::vector<openft::BrowseResponse> results;
   std::vector<std::tuple<std::uint64_t, std::uint32_t, bool>> ends;
@@ -66,7 +66,7 @@ TEST(Browse, EnumeratesTargetShares) {
         ends.emplace_back(id, total, ok);
       });
   std::uint64_t browse_id = profiler_raw->browse({tp.ip, tp.port});
-  net.events().run_until(net.now() + SimDuration::minutes(1));
+  net.engine().run_until(net.now() + SimDuration::minutes(1));
 
   ASSERT_EQ(ends.size(), 1u);
   EXPECT_EQ(std::get<0>(ends[0]), browse_id);
@@ -92,13 +92,13 @@ TEST(Browse, UnreachableTargetFails) {
   pp.ip = util::Ipv4(61, 0, 0, 1);
   pp.port = 5001;
   net.add_node(std::move(profiler), pp);
-  net.events().run_until(SimTime::zero() + SimDuration::seconds(5));
+  net.engine().run_until(SimTime::zero() + SimDuration::seconds(5));
 
   std::vector<bool> oks;
   raw->set_browse_end_callback(
       [&](std::uint64_t, std::uint32_t, bool ok) { oks.push_back(ok); });
   raw->browse({util::Ipv4(99, 99, 99, 99), 1234});
-  net.events().run_until(net.now() + SimDuration::minutes(1));
+  net.engine().run_until(net.now() + SimDuration::minutes(1));
   ASSERT_EQ(oks.size(), 1u);
   EXPECT_FALSE(oks[0]);
 }

@@ -48,12 +48,12 @@ TEST(ByeMessage, PeerDropsLinkImmediately) {
   ByeRig rig;
   gnutella::Servent* up = rig.add(true);
   gnutella::Servent* leaf = rig.add(false);
-  rig.net.events().run_until(SimTime::zero() + SimDuration::minutes(1));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::minutes(1));
   ASSERT_EQ(up->leaf_count(), 1u);
 
   leaf->shutdown(200, "bye test");
   rig.net.remove_node(leaf->id());
-  rig.net.events().run_until(rig.net.now() + SimDuration::seconds(10));
+  rig.net.engine().run_until(rig.net.now() + SimDuration::seconds(10));
   // The ultrapeer processed the BYE and released the leaf slot without
   // waiting for any timeout.
   EXPECT_EQ(up->leaf_count(), 0u);
@@ -64,14 +64,14 @@ TEST(ByeMessage, SurvivorRefillsAfterGracefulLeave) {
   gnutella::Servent* up1 = rig.add(true);
   gnutella::Servent* up2 = rig.add(true);
   gnutella::Servent* leaf = rig.add(false);
-  rig.net.events().run_until(SimTime::zero() + SimDuration::minutes(1));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::minutes(1));
   EXPECT_GE(leaf->overlay_link_count(), 2u);
 
   sim::NodeId up1_id = up1->id();
   up1->shutdown();
   rig.net.remove_node(up1_id);
   rig.cache->remove({rig.net.profile(up1_id).ip, rig.net.profile(up1_id).port});
-  rig.net.events().run_until(rig.net.now() + SimDuration::minutes(2));
+  rig.net.engine().run_until(rig.net.now() + SimDuration::minutes(2));
   EXPECT_GE(leaf->overlay_link_count(), 1u);
   EXPECT_GE(up2->leaf_count(), 1u);
 }

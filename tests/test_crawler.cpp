@@ -131,7 +131,7 @@ TEST(LimewireCrawler, EndToEndLabelsResponses) {
   cfg.seed = 1;
   LimewireCrawler crawler(m.net, m.cache, QueryWorkload(queries), m.scanner, cfg);
   crawler.start();
-  m.net.events().run_until(SimTime::zero() + SimDuration::minutes(45));
+  m.net.engine().run_until(SimTime::zero() + SimDuration::minutes(45));
   crawler.finalize();
 
   const auto& stats = crawler.stats();
@@ -171,7 +171,7 @@ TEST(LimewireCrawler, RecordsCarrySourceMetadata) {
   cfg.warmup = SimDuration::minutes(1);
   LimewireCrawler crawler(m.net, m.cache, QueryWorkload(queries), m.scanner, cfg);
   crawler.start();
-  m.net.events().run_until(SimTime::zero() + SimDuration::minutes(20));
+  m.net.engine().run_until(SimTime::zero() + SimDuration::minutes(20));
   crawler.finalize();
 
   ASSERT_FALSE(crawler.records().empty());
@@ -229,7 +229,7 @@ TEST(OpenFtCrawler, EndToEndAgainstSearchNode) {
   cfg.warmup = SimDuration::minutes(2);
   OpenFtCrawler crawler(net, cache, QueryWorkload(queries), scanner, cfg);
   crawler.start();
-  net.events().run_until(SimTime::zero() + SimDuration::minutes(45));
+  net.engine().run_until(SimTime::zero() + SimDuration::minutes(45));
   crawler.finalize();
 
   EXPECT_GT(crawler.stats().queries_sent, 3u);

@@ -55,7 +55,7 @@ struct DqRig {
     return raw;
   }
 
-  void run_for(SimDuration d) { net.events().run_until(net.now() + d); }
+  void run_for(SimDuration d) { net.engine().run_until(net.now() + d); }
 };
 
 TEST(DynamicQuery, StopsProbingOnceTargetReached) {
@@ -127,9 +127,9 @@ TEST(DynamicQuery, NoUltrapeersNoCrash) {
   profile.ip = util::Ipv4(30, 1, 1, 1);
   profile.port = 7000;
   net.add_node(std::move(servent), profile);
-  net.events().run_until(SimTime::zero() + SimDuration::seconds(30));
+  net.engine().run_until(SimTime::zero() + SimDuration::seconds(30));
   raw->send_query_dynamic("anything", 10, SimDuration::seconds(5));
-  net.events().run_until(net.now() + SimDuration::minutes(2));
+  net.engine().run_until(net.now() + SimDuration::minutes(2));
   EXPECT_EQ(raw->stats().hits_received, 0u);
 }
 

@@ -1,24 +1,23 @@
-// Executor contract + EventQueue specifics.
+// Executor contract + the per-shard event heap.
 //
-// The first half is engine-agnostic: every test runs parametrically against
-// the serial EventQueue and the ShardedEngine at 1 and 4 shards through the
-// sim::Engine interface, pinning the contract both executors must share —
-// time order, same-context tie order, clock visibility, monotonicity, and
-// run_until/run_all semantics. The second half covers what is genuinely
-// EventQueue-only (step(), the 4-ary heap's pop-order equivalence to the
-// old binary heap) and the Task small-buffer closure type.
-#include "sim/event_queue.h"
+// The first half runs parametrically against ShardedEngine at 1, 2 and 4
+// shards, pinning the contract every partition must share — time order,
+// same-context tie order, clock visibility, monotonicity, and
+// run_until/run_all semantics. The second half covers the 4-ary slab heap
+// under every shard (sim::ShardQueue: pop order equivalent to a binary heap
+// over the same key) and the Task small-buffer closure type.
+#include "sim/shard_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/engine.h"
 #include "sim/sharded_engine.h"
 #include "util/rng.h"
 
@@ -26,36 +25,35 @@ namespace p2p::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Engine contract (parametric over executors)
+// Engine contract (parametric over shard counts)
 // ---------------------------------------------------------------------------
 
-enum class EngineKind { kSerial, kSharded1, kSharded4 };
+// Enumerator values are printed in the test names; keep them stable.
+enum class EngineKind { kSharded2, kSharded1, kSharded4 };
 
-std::unique_ptr<Engine> make_engine(EngineKind kind) {
+std::size_t shard_count(EngineKind kind) {
   switch (kind) {
-    case EngineKind::kSerial:
-      return std::make_unique<EventQueue>();
-    case EngineKind::kSharded1:
-      return std::make_unique<ShardedEngine>(ShardedEngine::Config{1});
-    case EngineKind::kSharded4:
-      return std::make_unique<ShardedEngine>(ShardedEngine::Config{4});
+    case EngineKind::kSharded1: return 1;
+    case EngineKind::kSharded2: return 2;
+    case EngineKind::kSharded4: return 4;
   }
-  return nullptr;
+  return 1;
+}
+
+std::unique_ptr<ShardedEngine> make_engine(EngineKind kind) {
+  ShardedEngine::Config config;
+  config.shards = shard_count(kind);
+  return std::make_unique<ShardedEngine>(config);
 }
 
 std::string kind_name(const ::testing::TestParamInfo<EngineKind>& info) {
-  switch (info.param) {
-    case EngineKind::kSerial: return "EventQueue";
-    case EngineKind::kSharded1: return "Sharded1";
-    case EngineKind::kSharded4: return "Sharded4";
-  }
-  return "Unknown";
+  return "Sharded" + std::to_string(shard_count(info.param));
 }
 
 class EngineContract : public ::testing::TestWithParam<EngineKind> {
  protected:
-  std::unique_ptr<Engine> q_ = make_engine(GetParam());
-  Engine& q() { return *q_; }
+  std::unique_ptr<ShardedEngine> q_ = make_engine(GetParam());
+  ShardedEngine& q() { return *q_; }
 };
 
 TEST_P(EngineContract, RunsInTimeOrder) {
@@ -69,9 +67,8 @@ TEST_P(EngineContract, RunsInTimeOrder) {
 }
 
 TEST_P(EngineContract, TiesBreakByScheduleOrder) {
-  // Same instant, same scheduling context: runs in scheduling order on
-  // every executor (insertion seq on the serial queue, origin-sequence on
-  // the sharded one).
+  // Same instant, same scheduling context: runs in scheduling order at
+  // every shard count (the origin-sequence tie break).
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q().schedule_at(SimTime::at_millis(10), [&order, i] { order.push_back(i); });
@@ -133,79 +130,88 @@ TEST_P(EngineContract, CountsExecutedAndDrains) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, EngineContract,
-                         ::testing::Values(EngineKind::kSerial,
+                         ::testing::Values(EngineKind::kSharded2,
                                            EngineKind::kSharded1,
                                            EngineKind::kSharded4),
                          kind_name);
 
 // ---------------------------------------------------------------------------
-// EventQueue specifics (single-event step(), heap order equivalence)
+// ShardQueue: the 4-ary slab heap under every shard
 // ---------------------------------------------------------------------------
 
-TEST(EventQueue, StepReturnsFalseWhenEmpty) {
-  EventQueue q;
-  EXPECT_FALSE(q.step());
-  q.schedule_in(SimDuration::millis(1), [] {});
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
+TEST(ShardQueue, EmptyUntilPushedAndAfterDrain) {
+  ShardQueue q;
+  EXPECT_TRUE(q.empty());
+  int ran = 0;
+  q.push(ShardQueue::Entry{1, 0, 0, 0}, 3, [&ran] { ++ran; });
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  auto popped = q.pop();
+  EXPECT_EQ(popped.dst, 3u);
+  popped.action();
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(q.empty());
 }
 
-// Reference for the property test below: the binary heap the queue used
-// before the 4-ary rewrite, with its exact Later comparator. Every report
-// byte depends on pop order, so the new heap must reproduce this order —
-// not just "some valid (at, seq) order".
+// Reference for the property test below: a binary heap with the inverted
+// comparator over the same (at, origin entity, origin sequence) key. Every
+// report byte depends on pop order, so the 4-ary heap must reproduce this
+// order — not just "some valid order".
 struct RefEntry {
-  SimTime at;
-  std::uint64_t seq;
+  std::int64_t at;
+  std::uint32_t oid;
+  std::uint64_t oseq;
 };
 struct RefLater {
   bool operator()(const RefEntry& a, const RefEntry& b) const {
     if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
+    if (a.oid != b.oid) return a.oid > b.oid;
+    return a.oseq > b.oseq;
   }
 };
 
-TEST(EventQueue, PropertyPopsMatchBinaryHeapUnderRandomSchedules) {
+TEST(ShardQueue, PropertyPopsMatchBinaryHeapUnderRandomSchedules) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     util::Rng rng(0x4a77'0000 + seed);
-    EventQueue q;
+    ShardQueue q;
     std::priority_queue<RefEntry, std::vector<RefEntry>, RefLater> ref;
-    std::uint64_t next_seq = 0;
-    std::vector<std::pair<std::int64_t, std::uint64_t>> popped;
+    std::vector<std::uint64_t> next_oseq(5, 0);
+    std::int64_t clock = 0;
+    std::vector<RefEntry> popped;
     std::vector<RefEntry> expected;
 
-    // Interleave bursts of pushes (with heavy stamp collisions so seq
-    // tie-breaks are exercised) and partial drains that restructure the
-    // heap mid-stream.
+    auto pop_one = [&] {
+      expected.push_back(ref.top());
+      ref.pop();
+      ASSERT_FALSE(q.empty());
+      auto ev = q.pop();
+      clock = ev.entry.at_ms;
+      ev.action();
+    };
+    // Interleave bursts of pushes (with heavy stamp and origin collisions,
+    // so both tie-break levels are exercised) and partial drains that
+    // restructure the heap mid-stream.
     for (int round = 0; round < 40; ++round) {
       std::uint64_t pushes = rng.bounded(30);
       for (std::uint64_t i = 0; i < pushes; ++i) {
-        SimTime at = q.now() + SimDuration::millis(
-                                   static_cast<std::int64_t>(rng.bounded(8)));
-        std::uint64_t seq = next_seq++;
-        q.schedule_at(at, [&popped, at, seq] {
-          popped.emplace_back(at.millis(), seq);
-        });
-        ref.push(RefEntry{at, seq});
+        RefEntry e{clock + static_cast<std::int64_t>(rng.bounded(8)),
+                   static_cast<std::uint32_t>(rng.bounded(5)), 0};
+        e.oseq = next_oseq[e.oid]++;
+        q.push(ShardQueue::Entry{e.at, e.oseq, e.oid, 0}, e.oid,
+               [&popped, e] { popped.push_back(e); });
+        ref.push(e);
       }
       std::uint64_t pops = rng.bounded(20);
-      for (std::uint64_t i = 0; i < pops && !ref.empty(); ++i) {
-        expected.push_back(ref.top());
-        ref.pop();
-        ASSERT_TRUE(q.step());
-      }
+      for (std::uint64_t i = 0; i < pops && !ref.empty(); ++i) pop_one();
     }
-    while (!ref.empty()) {
-      expected.push_back(ref.top());
-      ref.pop();
-      ASSERT_TRUE(q.step());
-    }
-    ASSERT_FALSE(q.step());
+    while (!ref.empty()) pop_one();
+    ASSERT_TRUE(q.empty());
 
     ASSERT_EQ(popped.size(), expected.size()) << "seed " << seed;
     for (std::size_t i = 0; i < popped.size(); ++i) {
-      EXPECT_EQ(popped[i].first, expected[i].at.millis()) << "seed " << seed;
-      EXPECT_EQ(popped[i].second, expected[i].seq) << "seed " << seed;
+      EXPECT_EQ(popped[i].at, expected[i].at) << "seed " << seed;
+      EXPECT_EQ(popped[i].oid, expected[i].oid) << "seed " << seed;
+      EXPECT_EQ(popped[i].oseq, expected[i].oseq) << "seed " << seed;
     }
   }
 }

@@ -45,7 +45,7 @@ struct GnutellaRig {
     return raw;
   }
 
-  void run_for(SimDuration d) { net.events().run_until(net.now() + d); }
+  void run_for(SimDuration d) { net.engine().run_until(net.now() + d); }
 };
 
 TEST(PongDiscovery, LearnsNeighbourEndpointsFromPongs) {
@@ -104,7 +104,7 @@ TEST(UploadSlots, BusyServerRefusesExcessUploads) {
   lp.port = 7000;
   net.add_node(std::move(leaf), lp);
 
-  net.events().run_until(SimTime::zero() + SimDuration::seconds(30));
+  net.engine().run_until(SimTime::zero() + SimDuration::seconds(30));
 
   std::vector<gnutella::HitEvent> hits;
   std::vector<gnutella::DownloadOutcome> outcomes;
@@ -112,13 +112,13 @@ TEST(UploadSlots, BusyServerRefusesExcessUploads) {
   leaf_raw->set_download_callback(
       [&](const gnutella::DownloadOutcome& o) { outcomes.push_back(o); });
   leaf_raw->send_query("hot file");
-  net.events().run_until(net.now() + SimDuration::seconds(30));
+  net.engine().run_until(net.now() + SimDuration::seconds(30));
   ASSERT_EQ(hits.size(), 1u);
 
   // Two concurrent downloads: only one slot, so one gets 503.
   leaf_raw->download(hits[0].hit, hits[0].hit.results[0]);
   leaf_raw->download(hits[0].hit, hits[0].hit.results[0]);
-  net.events().run_until(net.now() + SimDuration::minutes(4));
+  net.engine().run_until(net.now() + SimDuration::minutes(4));
   ASSERT_EQ(outcomes.size(), 2u);
   int ok = 0, busy = 0;
   for (const auto& o : outcomes) {
@@ -181,7 +181,7 @@ TEST(IndexNode, AggregatesSearchNodeStats) {
   up.port = 5000;
   net.add_node(std::move(user), up);
 
-  net.events().run_until(SimTime::zero() + SimDuration::minutes(12));
+  net.engine().run_until(SimTime::zero() + SimDuration::minutes(12));
   auto stats = index_raw->network_stats();
   EXPECT_EQ(stats.users, 1u);
   EXPECT_EQ(stats.shares, 2u);

@@ -65,7 +65,7 @@ TEST(FailureInjection, ServentSurvivesGarbageTraffic) {
     gp.port = 9000;
     net.add_node(std::make_unique<GarbageNode>(target, 100 + static_cast<std::uint64_t>(i)), gp);
   }
-  net.events().run_until(SimTime::zero() + SimDuration::minutes(5));
+  net.engine().run_until(SimTime::zero() + SimDuration::minutes(5));
   EXPECT_GT(raw->stats().dropped_malformed, 0u);
   // The servent is still functional afterwards: a fresh leaf can join.
   gnutella::ServentConfig leaf_cfg;
@@ -77,7 +77,7 @@ TEST(FailureInjection, ServentSurvivesGarbageTraffic) {
   lp.ip = util::Ipv4(12, 0, 2, 1);
   lp.port = 7000;
   net.add_node(std::move(leaf), lp);
-  net.events().run_until(net.now() + SimDuration::minutes(2));
+  net.engine().run_until(net.now() + SimDuration::minutes(2));
   EXPECT_GE(leaf_raw->overlay_link_count(), 1u);
 }
 
@@ -101,7 +101,7 @@ TEST(FailureInjection, FtNodeSurvivesGarbageTraffic) {
     gp.port = 9000;
     net.add_node(std::make_unique<GarbageNode>(target, 200 + static_cast<std::uint64_t>(i)), gp);
   }
-  net.events().run_until(SimTime::zero() + SimDuration::minutes(5));
+  net.engine().run_until(SimTime::zero() + SimDuration::minutes(5));
   EXPECT_GT(raw->stats().dropped_malformed, 0u);
 
   // Still serves legitimate users.
@@ -116,7 +116,7 @@ TEST(FailureInjection, FtNodeSurvivesGarbageTraffic) {
   up.ip = util::Ipv4(13, 0, 2, 1);
   up.port = 5000;
   net.add_node(std::move(user), up);
-  net.events().run_until(net.now() + SimDuration::minutes(2));
+  net.engine().run_until(net.now() + SimDuration::minutes(2));
   EXPECT_GE(user_raw->session_count(), 1u);
   EXPECT_EQ(raw->child_count(), 1u);
 }
@@ -149,12 +149,12 @@ TEST(FailureInjection, UltrapeerDeathMidQueryDoesNotCrash) {
   lp.ip = util::Ipv4(14, 0, 1, 1);
   lp.port = 7000;
   net.add_node(std::move(leaf), lp);
-  net.events().run_until(SimTime::zero() + SimDuration::minutes(2));
+  net.engine().run_until(SimTime::zero() + SimDuration::minutes(2));
 
   // Fire a query and kill an ultrapeer while descriptors are in flight.
   leaf_raw->send_query("anything at all");
   net.remove_node(up_ids[0]);
-  net.events().run_until(net.now() + SimDuration::minutes(5));
+  net.engine().run_until(net.now() + SimDuration::minutes(5));
   // The leaf recovers its connectivity with the survivors.
   EXPECT_GE(leaf_raw->overlay_link_count(), 1u);
 }
@@ -188,18 +188,18 @@ TEST(FailureInjection, DownloaderDeathMidTransferLeavesServerHealthy) {
   lp.ip = util::Ipv4(15, 0, 0, 2);
   lp.port = 7000;
   sim::NodeId leaf_id = net.add_node(std::move(leaf), lp);
-  net.events().run_until(SimTime::zero() + SimDuration::seconds(30));
+  net.engine().run_until(SimTime::zero() + SimDuration::seconds(30));
 
   std::vector<gnutella::HitEvent> hits;
   leaf_raw->set_hit_callback([&](const gnutella::HitEvent& e) { hits.push_back(e); });
   leaf_raw->send_query("big file");
-  net.events().run_until(net.now() + SimDuration::seconds(30));
+  net.engine().run_until(net.now() + SimDuration::seconds(30));
   ASSERT_EQ(hits.size(), 1u);
 
   leaf_raw->download(hits[0].hit, hits[0].hit.results[0]);
-  net.events().run_until(net.now() + SimDuration::seconds(2));
+  net.engine().run_until(net.now() + SimDuration::seconds(2));
   net.remove_node(leaf_id);  // downloader vanishes mid-transfer
-  net.events().run_until(net.now() + SimDuration::minutes(5));
+  net.engine().run_until(net.now() + SimDuration::minutes(5));
   // The server survives and can answer a new client.
   EXPECT_GE(server_raw->stats().uploads_served, 1u);
   EXPECT_TRUE(net.alive(server_raw->id()));

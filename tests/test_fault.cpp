@@ -5,8 +5,8 @@
 //   1. Same (spec, seed) ⇒ the same fault schedule, decision by decision.
 //   2. Per-category streams are independent: message-layer draws never shift
 //      the crawler- or crash-layer schedules.
-//   3. Faults disabled ⇒ study output is byte-identical to the pre-fault
-//      tree (pinned by tests/data/fault_off_*.json fixtures).
+//   3. Faults disabled ⇒ study output is byte-identical to a run with no
+//      fault subsystem at all (pinned by tests/data/fault_off_*.json).
 //   4. A faulted study is reproducible end to end, and its degradation
 //      counters obey the accounting invariants.
 //   5. Retry/backoff/circuit-breaker behave as configured.
@@ -42,8 +42,9 @@ std::string report_json(const core::StudyResult& result,
   return out.str();
 }
 
-// Keep in sync with the generator that produced tests/data/fault_off_*.json
-// (a pre-fault-subsystem build of exactly these configs).
+// Keep in sync with the generator that produced tests/data/fault_off_*.json:
+// exactly these configs, run fault-free on the default one-shard engine
+// and rendered by report_json above.
 core::LimewireStudyConfig tiny_limewire() {
   auto cfg = core::limewire_quick();
   cfg.seed = 4242;
@@ -72,60 +73,63 @@ core::OpenFtStudyConfig tiny_openft() {
 // 1. Schedule determinism
 // ---------------------------------------------------------------------------
 
+// Message-layer decisions come from the injector's keyed hook: a private
+// stream per (plan seed, message key), so equal keys give equal decisions.
+bool same_faults(const sim::SendFaults& a, const sim::SendFaults& b) {
+  return a.drop == b.drop && a.duplicate == b.duplicate &&
+         a.extra_delay.count_ms() == b.extra_delay.count_ms();
+}
+
 TEST(FaultPlan, SameSeedSameSchedule) {
   auto spec = fault::preset_moderate();
-  fault::FaultPlan a(spec, 99);
-  fault::FaultPlan b(spec, 99);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(a.drop_message(), b.drop_message()) << "at draw " << i;
-    auto da = a.extra_delay();
-    auto db = b.extra_delay();
-    ASSERT_EQ(da.has_value(), db.has_value()) << "at draw " << i;
-    if (da) {
-      EXPECT_EQ(da->count_ms(), db->count_ms());
-    }
-    EXPECT_EQ(a.duplicate_message(), b.duplicate_message());
-    EXPECT_EQ(a.download_stalls(), b.download_stalls());
-    EXPECT_EQ(a.scan_times_out(), b.scan_times_out());
-    EXPECT_EQ(a.next_crash_delay().count_ms(), b.next_crash_delay().count_ms());
-    EXPECT_EQ(a.pick_victim(97), b.pick_victim(97));
-    util::Bytes pa(64, 0x5a), pb(64, 0x5a);
-    EXPECT_EQ(a.corrupt_payload(pa), b.corrupt_payload(pb));
-    EXPECT_EQ(pa, pb);
+  fault::FaultInjector a(spec, 99);
+  fault::FaultInjector b(spec, 99);
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    util::Payload pa{util::Bytes(64, 0x5a)};
+    util::Payload pb{util::Bytes(64, 0x5a)};
+    EXPECT_TRUE(same_faults(a.on_send_keyed(pa, i), b.on_send_keyed(pb, i)))
+        << "at key " << i;
+    EXPECT_EQ(pa.to_bytes(), pb.to_bytes());
+    EXPECT_EQ(a.plan().download_stalls(), b.plan().download_stalls());
+    EXPECT_EQ(a.plan().scan_times_out(), b.plan().scan_times_out());
+    EXPECT_EQ(a.plan().next_crash_delay().count_ms(),
+              b.plan().next_crash_delay().count_ms());
+    EXPECT_EQ(a.plan().pick_victim(97), b.plan().pick_victim(97));
   }
 }
 
 TEST(FaultPlan, DifferentSeedsDiverge) {
   auto spec = fault::preset_moderate();
-  fault::FaultPlan a(spec, 1);
-  fault::FaultPlan b(spec, 2);
+  fault::FaultInjector a(spec, 1);
+  fault::FaultInjector b(spec, 2);
   bool diverged = false;
-  for (int i = 0; i < 2000 && !diverged; ++i) {
-    diverged = a.drop_message() != b.drop_message() ||
-               a.next_crash_delay().count_ms() != b.next_crash_delay().count_ms();
+  for (std::uint64_t i = 0; i < 2000 && !diverged; ++i) {
+    util::Payload pa{util::Bytes(8, 0)};
+    util::Payload pb{util::Bytes(8, 0)};
+    diverged = !same_faults(a.on_send_keyed(pa, i), b.on_send_keyed(pb, i)) ||
+               a.plan().next_crash_delay().count_ms() !=
+                   b.plan().next_crash_delay().count_ms();
   }
   EXPECT_TRUE(diverged);
 }
 
 TEST(FaultPlan, CategoryStreamsAreIndependent) {
   auto spec = fault::preset_severe();
-  fault::FaultPlan quiet(spec, 7);
-  fault::FaultPlan noisy(spec, 7);
-  // Burn through message- and corruption-layer draws on one plan only; the
-  // crawler and crash schedules must not move.
-  for (int i = 0; i < 500; ++i) {
-    (void)noisy.drop_message();
-    (void)noisy.extra_delay();
-    (void)noisy.duplicate_message();
-    util::Bytes p(32, 0xff);
-    (void)noisy.corrupt_payload(p);
+  fault::FaultInjector quiet(spec, 7);
+  fault::FaultInjector noisy(spec, 7);
+  // Burn through message-layer decisions (drop, delay, duplicate, corrupt)
+  // on one injector only; the crawler and crash schedules must not move.
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    util::Payload p{util::Bytes(32, 0xff)};
+    (void)noisy.on_send_keyed(p, i);
   }
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(quiet.download_stalls(), noisy.download_stalls()) << "at " << i;
-    EXPECT_EQ(quiet.scan_times_out(), noisy.scan_times_out());
-    EXPECT_EQ(quiet.next_crash_delay().count_ms(),
-              noisy.next_crash_delay().count_ms());
-    EXPECT_EQ(quiet.pick_victim(31), noisy.pick_victim(31));
+    EXPECT_EQ(quiet.plan().download_stalls(), noisy.plan().download_stalls())
+        << "at " << i;
+    EXPECT_EQ(quiet.plan().scan_times_out(), noisy.plan().scan_times_out());
+    EXPECT_EQ(quiet.plan().next_crash_delay().count_ms(),
+              noisy.plan().next_crash_delay().count_ms());
+    EXPECT_EQ(quiet.plan().pick_victim(31), noisy.plan().pick_victim(31));
   }
 }
 
@@ -162,7 +166,7 @@ TEST(FaultSpec, ParseRejectsMalformedInput) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Faults off ⇒ byte-identical to the pre-fault tree
+// 3. Faults off ⇒ byte-identical to the pinned fault-free fixtures
 // ---------------------------------------------------------------------------
 
 TEST(FaultOff, LimewireReportMatchesPreFaultFixture) {

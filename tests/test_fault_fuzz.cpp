@@ -1,7 +1,7 @@
-// Fault-layer corruption fuzz: FaultPlan::corrupt_payload is exactly the
-// mutation a faulted sim::Network applies to frames in flight, so both
-// protocol parsers must survive its output — parse to nullopt or to valid
-// data, never crash. Runs in the fuzz binary (ctest label: fuzz) so the
+// Fault-layer corruption fuzz: FaultInjector::on_send_keyed is exactly the
+// hook a faulted sim::Network applies to frames in flight, so both protocol
+// parsers must survive its output — parse to nullopt or to valid data,
+// never crash. Runs in the fuzz binary (ctest label: fuzz) so the
 // sanitizer tier scales the loops up via P2P_FUZZ_ROUNDS.
 #include <gtest/gtest.h>
 
@@ -23,19 +23,28 @@ int fuzz_rounds(int fallback) {
   return fallback;
 }
 
-// A plan that corrupts every message it sees: the worst case of the
-// injector's in-flight mutation.
-fault::FaultPlan always_corrupt(std::uint64_t seed) {
+// An injector that corrupts every message it sees: the worst case of its
+// in-flight mutation.
+fault::FaultSpec always_corrupt() {
   fault::FaultSpec spec;
   spec.payload_corrupt = 1.0;
-  return fault::FaultPlan(spec, seed);
+  return spec;
+}
+
+// One in-flight corruption of `wire` as the network applies it, keyed like
+// a send: each round is a distinct message.
+util::Bytes corrupt(fault::FaultInjector& injector, const util::Bytes& wire,
+                    std::uint64_t key) {
+  util::Payload payload{util::Bytes(wire)};
+  (void)injector.on_send_keyed(payload, key);
+  return payload.to_bytes();
 }
 
 class FaultCorruptionFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FaultCorruptionFuzz, GnutellaParserSurvivesInjectedCorruption) {
   util::Rng rng(GetParam() ^ 0xc0de);
-  auto plan = always_corrupt(GetParam());
+  fault::FaultInjector injector(always_corrupt(), GetParam());
   gnutella::QueryHit hit;
   hit.servent_guid = gnutella::Guid::random(rng);
   gnutella::QueryHitResult r;
@@ -47,15 +56,15 @@ TEST_P(FaultCorruptionFuzz, GnutellaParserSurvivesInjectedCorruption) {
 
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {
-    util::Bytes mutated = wire;
-    ASSERT_TRUE(plan.corrupt_payload(mutated));
+    util::Bytes mutated = corrupt(injector, wire, static_cast<std::uint64_t>(round));
+    ASSERT_NE(mutated, wire);
     EXPECT_NO_THROW({ auto parsed = gnutella::parse(mutated); (void)parsed; });
   }
 }
 
 TEST_P(FaultCorruptionFuzz, OpenFtParserSurvivesInjectedCorruption) {
   util::Rng rng(GetParam() ^ 0x0f7);
-  auto plan = always_corrupt(GetParam() ^ 0x9e3779b9);
+  fault::FaultInjector injector(always_corrupt(), GetParam() ^ 0x9e3779b9);
   openft::SearchResponse resp;
   resp.search_id = rng.next();
   resp.owner = {util::Ipv4(10, 1, 2, 3), 1216};
@@ -65,19 +74,19 @@ TEST_P(FaultCorruptionFuzz, OpenFtParserSurvivesInjectedCorruption) {
 
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {
-    util::Bytes mutated = wire;
-    ASSERT_TRUE(plan.corrupt_payload(mutated));
+    util::Bytes mutated = corrupt(injector, wire, static_cast<std::uint64_t>(round));
+    ASSERT_NE(mutated, wire);
     EXPECT_NO_THROW({ auto parsed = openft::parse(mutated); (void)parsed; });
   }
 }
 
 TEST_P(FaultCorruptionFuzz, CorruptionAlwaysChangesBytesAndKeepsSize) {
-  auto plan = always_corrupt(GetParam() ^ 0x5eed);
+  fault::FaultInjector injector(always_corrupt(), GetParam() ^ 0x5eed);
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {
     util::Bytes original(1 + (round % 64), static_cast<std::uint8_t>(round));
-    util::Bytes mutated = original;
-    ASSERT_TRUE(plan.corrupt_payload(mutated));
+    util::Bytes mutated =
+        corrupt(injector, original, static_cast<std::uint64_t>(round));
     EXPECT_EQ(mutated.size(), original.size());
     EXPECT_NE(mutated, original);
   }

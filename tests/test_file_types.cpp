@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/bytes.h"
 
 namespace p2p::files {
@@ -11,6 +13,12 @@ struct ExtCase {
   const char* name;
   FileType expected;
 };
+
+// Print the case by value: gtest's default dumps the struct's bytes, which
+// include the string pointer and so change from one build to the next.
+void PrintTo(const ExtCase& c, std::ostream* os) {
+  *os << c.name << " is " << to_string(c.expected);
+}
 
 class ExtensionClassification : public ::testing::TestWithParam<ExtCase> {};
 

@@ -1,9 +1,8 @@
 // Cross-cutting invariants: random operation sequences against the
 // executors and the simulator must never crash or corrupt state, and a
 // full study's response log must be internally consistent. The executor
-// op-fuzz and the study consistency suite run parametrically against both
-// engines (serial EventQueue and ShardedEngine) through the shared
-// sim::Engine contract.
+// op-fuzz and the study consistency suite run parametrically over shard
+// counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +10,6 @@
 
 #include "analysis/stats.h"
 #include "core/study.h"
-#include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/sharded_engine.h"
 #include "util/rng.h"
@@ -26,18 +24,13 @@ using sim::SimTime;
 // Executor op-fuzz (parametric over engines)
 // ---------------------------------------------------------------------------
 
-enum class EngineKind { kSerial, kSharded1, kSharded4 };
+// Enumerator values are printed in the test names; keep them stable.
+enum class EngineKind { kSharded1 = 1, kSharded4 };
 
-std::unique_ptr<sim::Engine> make_engine(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSerial:
-      return std::make_unique<sim::EventQueue>();
-    case EngineKind::kSharded1:
-      return std::make_unique<sim::ShardedEngine>(sim::ShardedEngine::Config{1});
-    case EngineKind::kSharded4:
-      return std::make_unique<sim::ShardedEngine>(sim::ShardedEngine::Config{4});
-  }
-  return nullptr;
+std::unique_ptr<sim::ShardedEngine> make_engine(EngineKind kind) {
+  sim::ShardedEngine::Config config;
+  config.shards = kind == EngineKind::kSharded4 ? 4 : 1;
+  return std::make_unique<sim::ShardedEngine>(config);
 }
 
 class EngineOpFuzz
@@ -101,7 +94,6 @@ std::string engine_case_name(
         info) {
   std::string name;
   switch (std::get<0>(info.param)) {
-    case EngineKind::kSerial: name = "EventQueue"; break;
     case EngineKind::kSharded1: name = "Sharded1"; break;
     case EngineKind::kSharded4: name = "Sharded4"; break;
   }
@@ -110,8 +102,7 @@ std::string engine_case_name(
 
 INSTANTIATE_TEST_SUITE_P(
     Executors, EngineOpFuzz,
-    ::testing::Combine(::testing::Values(EngineKind::kSerial,
-                                         EngineKind::kSharded1,
+    ::testing::Combine(::testing::Values(EngineKind::kSharded1,
                                          EngineKind::kSharded4),
                        ::testing::Range<std::uint64_t>(1, 5)),
     engine_case_name);
@@ -181,12 +172,12 @@ TEST_P(SimulatorOpFuzz, RandomOperationSequencesAreSafe) {
         break;
       }
       default:  // let time pass
-        net.events().run_until(net.now() + SimDuration::seconds(
+        net.engine().run_until(net.now() + SimDuration::seconds(
                                                static_cast<std::int64_t>(rng.index(30))));
         break;
     }
   }
-  net.events().run_until(net.now() + SimDuration::minutes(10));
+  net.engine().run_until(net.now() + SimDuration::minutes(10));
 
   // Structural invariants after the storm.
   std::size_t alive = 0;
@@ -212,9 +203,9 @@ TEST_P(SimulatorOpFuzz, RandomOperationSequencesAreSafe) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOpFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
-// Parametric over the executor: shards=0 is the legacy serial study,
-// shards=1 the sharded model's serial baseline, shards=4 the parallel
-// engine — all under the same consistency checks.
+// Parametric over the shard count: shards=0 (the default mapping to one
+// shard) and 1 run on the calling thread, shards=4 on the parallel engine —
+// all under the same consistency checks.
 class StudyInvariants : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(StudyInvariants, ResponseLogIsInternallyConsistent) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace p2p::util {
 namespace {
 
@@ -31,6 +33,12 @@ struct ClassCase {
   const char* addr;
   IpClass expected;
 };
+
+// Print the case by value: gtest's default dumps the struct's bytes, which
+// include the string pointer and so change from one build to the next.
+void PrintTo(const ClassCase& c, std::ostream* os) {
+  *os << c.addr << " is " << to_string(c.expected);
+}
 
 class IpClassification : public ::testing::TestWithParam<ClassCase> {};
 

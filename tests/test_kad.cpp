@@ -382,7 +382,7 @@ TEST(KadSwarm, LookupsConvergeAndSearchFindsPublishedContent) {
   }
 
   // Bootstrap + first publish pass.
-  net.events().run_until(sim::SimTime::zero() + sim::SimDuration::seconds(120));
+  net.engine().run_until(sim::SimTime::zero() + sim::SimDuration::seconds(120));
   std::size_t populated = 0;
   std::size_t indexed = 0;
   for (const auto* n : nodes) {
@@ -401,7 +401,7 @@ TEST(KadSwarm, LookupsConvergeAndSearchFindsPublishedContent) {
   const std::string query = catalog->entry(3).query;
   net.schedule_node(ids[0], sim::SimDuration::seconds(1),
                     [&] { nodes[0]->search(query); });
-  net.events().run_until(sim::SimTime::zero() + sim::SimDuration::seconds(240));
+  net.engine().run_until(sim::SimTime::zero() + sim::SimDuration::seconds(240));
 
   EXPECT_TRUE(ended) << "search window must close";
   ASSERT_FALSE(results.empty()) << "published content must be findable";
@@ -545,6 +545,13 @@ TEST(KadStudy, ConfigHashIsSensitiveToEveryKnob) {
   std::sort(hashes.begin(), hashes.end());
   EXPECT_EQ(std::unique(hashes.begin(), hashes.end()), hashes.end());
   EXPECT_NE(core::config_hash(base), core::config_hash(core::kad_standard()));
+}
+
+TEST(KadStudy, SerialModelCacheIsStale) {
+  // The quick preset's digest as the retired serial KAD driver computed it
+  // (no model marker): its caches and traces hold different bytes.
+  constexpr std::uint64_t kSerialKadQuickHash = 0x31d56bf01c1595c6ull;
+  EXPECT_NE(core::config_hash(core::kad_quick()), kSerialKadQuickHash);
 }
 
 }  // namespace

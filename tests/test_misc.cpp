@@ -94,7 +94,7 @@ TEST(OpenFt, RemShareRetractsFromIndex) {
   xp.port = 5001;
   net.add_node(std::move(searcher), xp);
 
-  net.events().run_until(sim::SimTime::zero() + sim::SimDuration::minutes(2));
+  net.engine().run_until(sim::SimTime::zero() + sim::SimDuration::minutes(2));
   ASSERT_EQ(search_raw->stats().shares_indexed, 1u);
 
   // Retract the share wire-level: the search node must stop returning it.
@@ -104,7 +104,7 @@ TEST(OpenFt, RemShareRetractsFromIndex) {
   searcher_raw->set_result_callback(
       [&](const openft::FtSearchEvent& e) { results.push_back(e); });
   searcher_raw->search("retractable");
-  net.events().run_until(net.now() + sim::SimDuration::minutes(1));
+  net.engine().run_until(net.now() + sim::SimDuration::minutes(1));
   EXPECT_EQ(results.size(), 1u);
 }
 
@@ -136,7 +136,7 @@ TEST(OpenFt, SearchNodeStatsExposeIndexedShares) {
   up.port = 5000;
   net.add_node(std::move(user), up);
 
-  net.events().run_until(sim::SimTime::zero() + sim::SimDuration::minutes(2));
+  net.engine().run_until(sim::SimTime::zero() + sim::SimDuration::minutes(2));
   EXPECT_EQ(raw->stats().shares_indexed, 3u);
   EXPECT_EQ(raw->child_count(), 1u);
 }

@@ -56,7 +56,7 @@ TEST(QueryingServent, IssuesQueriesWhileOnline) {
   ObservatoryRig rig;
   rig.add_ultrapeer(0);
   auto* querier = rig.add_querier(0, SimDuration::minutes(5));
-  rig.net.events().run_until(SimTime::zero() + SimDuration::hours(2));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::hours(2));
   // ~24 expected at a 5-minute mean over 2 hours; allow wide slack.
   EXPECT_GE(querier->stats().queries_originated, 8u);
   EXPECT_LE(querier->stats().queries_originated, 60u);
@@ -67,7 +67,7 @@ TEST(Observatory, CountsQueriesPassingThrough) {
   rig.add_ultrapeer(0);
   crawler::QueryObservatory observatory(rig.net, rig.cache, 77);
   for (int i = 0; i < 6; ++i) rig.add_querier(i, SimDuration::minutes(10));
-  rig.net.events().run_until(SimTime::zero() + SimDuration::hours(4));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::hours(4));
 
   EXPECT_GT(observatory.total_queries(), 20u);
   EXPECT_GT(observatory.distinct_queries(), 5u);
@@ -88,7 +88,7 @@ TEST(Observatory, PopularityIsZipfLike) {
   rig.add_ultrapeer(1);
   crawler::QueryObservatory observatory(rig.net, rig.cache, 78);
   for (int i = 0; i < 12; ++i) rig.add_querier(i, SimDuration::minutes(4));
-  rig.net.events().run_until(SimTime::zero() + SimDuration::hours(8));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::hours(8));
 
   ASSERT_GT(observatory.total_queries(), 200u);
   double slope = observatory.zipf_slope();
@@ -102,7 +102,7 @@ TEST(Observatory, SilentWithoutTraffic) {
   ObservatoryRig rig;
   rig.add_ultrapeer(0);
   crawler::QueryObservatory observatory(rig.net, rig.cache, 79);
-  rig.net.events().run_until(SimTime::zero() + SimDuration::hours(1));
+  rig.net.engine().run_until(SimTime::zero() + SimDuration::hours(1));
   EXPECT_EQ(observatory.total_queries(), 0u);
   EXPECT_DOUBLE_EQ(observatory.zipf_slope(), 0.0);
 }

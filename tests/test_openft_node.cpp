@@ -52,7 +52,7 @@ struct MiniFt {
     return raw;
   }
 
-  void run_for(SimDuration d) { net.events().run_until(net.now() + d); }
+  void run_for(SimDuration d) { net.engine().run_until(net.now() + d); }
 };
 
 TEST(FtNode, UserEstablishesSessionAndBecomesChild) {

@@ -192,5 +192,26 @@ TEST(StudyCache, ConfigHashCoversSeedAndNestedFields) {
   EXPECT_NE(core::config_hash(lw), core::config_hash(ft));
 }
 
+// Digests of the quick presets as the retired serial model computed them
+// (it folded no model marker). Caches and traces recorded by that model
+// hold different bytes, so they must be rejected as stale.
+constexpr std::uint64_t kSerialLimewireQuickHash = 0xc3de928567316c86ull;
+constexpr std::uint64_t kSerialOpenFtQuickHash = 0x02b9db7523af5a85ull;
+
+TEST(StudyCache, SerialModelLimewireCacheIsStale) {
+  auto cfg = core::limewire_quick();
+  EXPECT_NE(core::config_hash(cfg), kSerialLimewireQuickHash);
+  // The marker does not depend on the shard count: 0 (meaning 1) too.
+  cfg.shards = 0;
+  EXPECT_NE(core::config_hash(cfg), kSerialLimewireQuickHash);
+}
+
+TEST(StudyCache, SerialModelOpenFtCacheIsStale) {
+  auto cfg = core::openft_quick();
+  EXPECT_NE(core::config_hash(cfg), kSerialOpenFtQuickHash);
+  cfg.shards = 0;
+  EXPECT_NE(core::config_hash(cfg), kSerialOpenFtQuickHash);
+}
+
 }  // namespace
 }  // namespace p2p

@@ -58,7 +58,7 @@ struct MiniNet {
     return raw;
   }
 
-  void run_for(SimDuration d) { net.events().run_until(net.now() + d); }
+  void run_for(SimDuration d) { net.engine().run_until(net.now() + d); }
 };
 
 TEST(Servent, LeafConnectsToUltrapeer) {

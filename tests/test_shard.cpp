@@ -4,8 +4,8 @@
 //  * Differential: the full studies — both networks, quick presets, several
 //    seeds — must produce byte-identical JSON reports, trace files, and
 //    time series at every --shards count, fault-free and faulted alike.
-//    `--shards 1` is the serial baseline the parallel counts are diffed
-//    against.
+//    `--shards 1` (no worker threads) is the baseline the parallel counts
+//    are diffed against.
 //  * Properties of the conservative lookahead scheduler, model-checked
 //    against a single-queue reference replay: randomized latency matrices
 //    never deliver a message before send-time + latency, same-(at, origin,
@@ -183,21 +183,18 @@ TEST(ShardDifferential, TraceBytesIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardDifferential, ConfigHashMarksShardedButNotTheCount) {
-  core::LimewireStudyConfig legacy = lw_config(7, 0);
-  // The sharded model is a different generator than the legacy serial model,
-  // so the two must never share trace caches; but every shard count of the
-  // sharded model produces identical bytes, so the count must not leak in.
-  EXPECT_NE(core::config_hash(legacy), core::config_hash(lw_config(7, 1)));
+  // Every shard count of the model produces identical bytes, so the count
+  // must not leak into the digest — including 0, which means one shard.
+  EXPECT_EQ(core::config_hash(lw_config(7, 0)),
+            core::config_hash(lw_config(7, 1)));
   EXPECT_EQ(core::config_hash(lw_config(7, 1)),
             core::config_hash(lw_config(7, 4)));
-  // The SoA capacity model is yet another generator: its marker must differ
-  // from both the serial and the sharded-legacy digests, and must itself be
-  // shard-count-invariant.
+  // The SoA capacity model is another generator: its marker must differ
+  // from the full-fidelity digest, and must itself be shard-count-invariant.
   core::LimewireStudyConfig soa1 = lw_config(7, 1);
   soa1.soa_capacity = true;
   core::LimewireStudyConfig soa4 = lw_config(7, 4);
   soa4.soa_capacity = true;
-  EXPECT_NE(core::config_hash(soa1), core::config_hash(legacy));
   EXPECT_NE(core::config_hash(soa1), core::config_hash(lw_config(7, 1)));
   EXPECT_EQ(core::config_hash(soa1), core::config_hash(soa4));
 }
@@ -222,26 +219,6 @@ TEST(ShardDifferential, SoaCapacityModelIdenticalAcrossShardCounts) {
   std::string oft_base = oft_soa(1);
   ASSERT_FALSE(oft_base.empty());
   EXPECT_EQ(oft_base, oft_soa(4));
-}
-
-TEST(ShardDifferential, LegacyShardedTracksSerialAtBandLevel) {
-  // Serial and sharded-legacy are distinct generators (latency draws are
-  // keyed vs. stream-drawn, failure notification costs 2L vs. L), so no
-  // byte-level agreement is expected — but they simulate the same study and
-  // must land in the same statistical band.
-  core::StudyResult serial = core::run_limewire_study(lw_config(7, 0));
-  core::StudyResult sharded = core::run_limewire_study(lw_config(7, 2));
-  ASSERT_GT(serial.crawl_stats.study_responses, 0u);
-  ASSERT_GT(sharded.crawl_stats.study_responses, 0u);
-  auto ratio = [](double a, double b) { return a > b ? a / b : b / a; };
-  EXPECT_LT(ratio(double(serial.crawl_stats.study_responses),
-                  double(sharded.crawl_stats.study_responses)),
-            2.0);
-  EXPECT_LT(ratio(double(serial.crawl_stats.queries_sent),
-                  double(sharded.crawl_stats.queries_sent)),
-            1.2);
-  EXPECT_GT(serial.messages_delivered, 0u);
-  EXPECT_GT(sharded.messages_delivered, 0u);
 }
 
 // ---------------------------------------------------------------------------
