@@ -142,6 +142,36 @@ void BM_QrtMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_QrtMatch);
 
+// A leaf's 13-bit table (500 shared files) encoded as the PATCH it ships,
+// and decoded as its ultrapeer does on receipt; items/s is patches/s.
+gnutella::QueryRouteTable leaf_qrt() {
+  gnutella::QueryRouteTable qrt(13);
+  for (int i = 0; i < 500; ++i) {
+    qrt.add_keywords("file number " + std::to_string(i) + " content");
+  }
+  return qrt;
+}
+
+void BM_QrpPatchEncode(benchmark::State& state) {
+  gnutella::QueryRouteTable qrt = leaf_qrt();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qrt.to_patch_bytes());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_QrpPatchEncode);
+
+void BM_QrpPatchDecode(benchmark::State& state) {
+  util::Bytes patch = leaf_qrt().to_patch_bytes();
+  gnutella::QueryRouteTable qrt(13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qrt.from_patch_bytes(patch));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_QrpPatchDecode);
+
 void BM_KeywordMatch(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(

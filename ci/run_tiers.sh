@@ -100,8 +100,9 @@ tier_sanitize() {
     P2P_FUZZ_ROUNDS="${P2P_FUZZ_ROUNDS:-2000}" \
       ctest -L fuzz -j "${JOBS}" --output-on-failure
     # The zero-copy payload layer is all refcounts and aliasing — exactly
-    # what asan/ubsan are for; the event queue's slab recycling rides along.
-    ctest -R 'Payload|EventQueue|^Task' -j "${JOBS}" --output-on-failure
+    # what asan/ubsan are for; the shard queue's slab recycling and the
+    # word-at-a-time QRP codec and SHA-1 kernel ride along.
+    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1' -j "${JOBS}" --output-on-failure
   )
 }
 

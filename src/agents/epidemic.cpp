@@ -62,8 +62,7 @@ void SwitchableAnswerer::populate_qrt(gnutella::QueryRouteTable& qrt) const {
   if (infected_) {
     qrt.fill_all();
   } else {
-    gnutella::QueryRouteTable built = honest_.build_qrt(qrt.table_bits());
-    qrt.from_patch_bytes(built.to_patch_bytes());
+    qrt = honest_.build_qrt(qrt.table_bits());
   }
 }
 

@@ -1,11 +1,68 @@
 #include "files/hash.h"
 
+#include <bit>
 #include <cstring>
 
 namespace p2p::files {
 
 namespace {
 std::uint32_t rotl32(std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) | (v << 24);
+  }
+  return v;
+}
+
+// SHA-1 round functions (FIPS 180-1), in forms without branches.
+struct Sha1Choose {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return d ^ (b & (c ^ d));
+  }
+};
+struct Sha1Parity {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return b ^ c ^ d;
+  }
+};
+struct Sha1Majority {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return (b & c) | (d & (b | c));
+  }
+};
+
+/// Schedule word t >= 16, computed into the 16-word ring w in place of w[t - 16].
+std::uint32_t sha1_schedule(std::uint32_t* w, int t) {
+  std::uint32_t x = rotl32(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15], 1);
+  w[t & 15] = x;
+  return x;
+}
+
+/// One round that leaves its result in `e` and rotates `b`; the caller
+/// renames the five registers instead of shifting them.
+template <typename F>
+void sha1_round(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+                std::uint32_t& e, std::uint32_t k, std::uint32_t wt) {
+  e += rotl32(a, 5) + F{}(b, c, d) + k + wt;
+  b = rotl32(b, 30);
+}
+
+/// Rounds t0 .. t0+19, which share one round function and constant.
+template <typename F>
+void sha1_group(std::uint32_t (&r)[5], std::uint32_t* w, int t0, std::uint32_t k) {
+  auto& [a, b, c, d, e] = r;
+  auto word = [w](int t) { return t < 16 ? w[t] : sha1_schedule(w, t); };
+  for (int t = t0; t < t0 + 20; t += 5) {
+    sha1_round<F>(a, b, c, d, e, k, word(t));
+    sha1_round<F>(e, a, b, c, d, k, word(t + 1));
+    sha1_round<F>(d, e, a, b, c, k, word(t + 2));
+    sha1_round<F>(c, d, e, a, b, k, word(t + 3));
+    sha1_round<F>(b, c, d, e, a, k, word(t + 4));
+  }
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -21,42 +78,14 @@ Sha1::Sha1() {
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[i * 4]} << 24) | (std::uint32_t{block[i * 4 + 1]} << 16) |
-           (std::uint32_t{block[i * 4 + 2]} << 8) | std::uint32_t{block[i * 4 + 3]};
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  std::uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+  std::uint32_t r[5] = {h_[0], h_[1], h_[2], h_[3], h_[4]};
+  sha1_group<Sha1Choose>(r, w, 0, 0x5A827999u);
+  sha1_group<Sha1Parity>(r, w, 20, 0x6ED9EBA1u);
+  sha1_group<Sha1Majority>(r, w, 40, 0x8F1BBCDCu);
+  sha1_group<Sha1Parity>(r, w, 60, 0xCA62C1D6u);
+  for (int i = 0; i < 5; ++i) h_[i] += r[i];
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) {

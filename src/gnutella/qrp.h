@@ -7,6 +7,7 @@
 // a query-echoing worm defeats by advertising an all-ones table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -31,13 +32,22 @@ struct QueryHashes {
 };
 [[nodiscard]] QueryHashes hash_query(std::string_view query, unsigned bits);
 
+/// A QRP table of 2^table_bits one-bit slots, packed 64 to a word: slot i
+/// is bit (i % 64) of word i / 64. Bits past slot_count() (tables smaller
+/// than one word) are always zero, so a popcount is the number of set slots.
 class QueryRouteTable {
  public:
   /// table_bits in [4, 24]; table has 2^table_bits slots.
   explicit QueryRouteTable(unsigned table_bits = 13);
 
   [[nodiscard]] unsigned table_bits() const { return bits_; }
-  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slot_count() const { return std::size_t{1} << bits_; }
+
+  /// Slot access; `slot` must be below slot_count().
+  [[nodiscard]] bool test(std::size_t slot) const {
+    return ((words_[slot >> 6] >> (slot & 63)) & 1u) != 0;
+  }
+  void set(std::size_t slot) { words_[slot >> 6] |= std::uint64_t{1} << (slot & 63); }
 
   void clear();
   /// Mark all slots present (what a worm that wants every query would send).
@@ -56,15 +66,19 @@ class QueryRouteTable {
   /// Fraction of slots set — used by ultrapeers to spot degenerate tables.
   [[nodiscard]] double fill_ratio() const;
 
-  /// Serialize slots as one byte per slot (PATCH payload).
+  /// Serialize slots as one byte per slot (PATCH payload): 1 for a set
+  /// slot, 0 otherwise.
   [[nodiscard]] util::Bytes to_patch_bytes() const;
-  /// Rebuild from PATCH bytes; returns false if the size is not a power of
-  /// two in the supported range.
+  /// Rebuild from PATCH bytes, any non-zero byte being a set slot; the
+  /// table takes the patch's size. Returns false, leaving the table
+  /// unchanged, if the size is not a power of two in the supported range.
   bool from_patch_bytes(const util::Bytes& bytes);
+
+  bool operator==(const QueryRouteTable&) const = default;
 
  private:
   unsigned bits_;
-  std::vector<bool> slots_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace p2p::gnutella

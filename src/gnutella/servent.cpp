@@ -114,8 +114,7 @@ std::shared_ptr<const files::FileContent> IndexAnswerer::resolve(std::uint32_t i
 }
 
 void IndexAnswerer::populate_qrt(QueryRouteTable& qrt) const {
-  QueryRouteTable built = index_.build_qrt(qrt.table_bits());
-  qrt.from_patch_bytes(built.to_patch_bytes());
+  qrt = index_.build_qrt(qrt.table_bits());
 }
 
 // ---------------------------------------------------------------------------
@@ -642,10 +641,10 @@ void Servent::handle_query(sim::ConnId conn, ConnState& state, const Message& ms
       // Last hop to a leaf: QRP gate (always forwarded when QRP disabled —
       // the A2 ablation measures exactly this difference).
       if (config_.use_qrp && st.has_qrt) {
-        if (qhash.bits != st.qrt.table_bits()) {
-          qhash = hash_query(query.criteria, st.qrt.table_bits());
+        if (qhash.bits != st.qrt->table_bits()) {
+          qhash = hash_query(query.criteria, st.qrt->table_bits());
         }
-        if (!st.qrt.matches_hashed(qhash)) {
+        if (!st.qrt->matches_hashed(qhash)) {
           ++stats_.qrp_suppressed;
           m.qrp_suppressed.add(1);
           continue;
@@ -724,12 +723,13 @@ void Servent::handle_qrp(ConnState& state, const Message& msg) {
   if (std::holds_alternative<QrpReset>(qrp.op)) {
     const auto& reset = std::get<QrpReset>(qrp.op);
     if (reset.table_bits >= 4 && reset.table_bits <= 24) {
-      state.qrt = QueryRouteTable(reset.table_bits);
+      state.qrt.emplace(reset.table_bits);
       state.has_qrt = false;  // armed by the PATCH that follows
     }
   } else {
     const auto& patch = std::get<QrpPatch>(qrp.op);
-    if (state.qrt.from_patch_bytes(patch.bits)) state.has_qrt = true;
+    if (!state.qrt) state.qrt.emplace();  // a PATCH without a RESET
+    if (state.qrt->from_patch_bytes(patch.bits)) state.has_qrt = true;
   }
 }
 

@@ -230,7 +230,10 @@ class Servent : public sim::Node {
     /// Advertised listen endpoint from the handshake (for pong caching).
     util::Endpoint peer_listen;
     bool has_peer_listen = false;
-    QueryRouteTable qrt{13};
+    /// The peer's route table, allocated by its first RESET or PATCH, so
+    /// links that never receive QRP carry none. Gates queries only once a
+    /// PATCH has armed it (`has_qrt`).
+    std::optional<QueryRouteTable> qrt;
     bool has_qrt = false;
     std::uint64_t download_id = 0;  // for kTransferOut/kPushOut
   };

@@ -291,11 +291,10 @@ void ShardedEngine::run_rounds(std::int64_t until_ms, bool bounded) {
     // ordering key and the same lookahead validation, so it is a faithful
     // differential baseline for every multi-shard run.
     try {
-      while (!plan_.stop) {
+      do {
         execute_window(0, plan_.window_end_ms);
         drain_into(0);  // self-sends from co-located entities
-        plan_round(until_ms, bounded);
-      }
+      } while (plan_round(until_ms, bounded));
     } catch (...) {
       running_ = false;
       throw;
@@ -328,7 +327,9 @@ void ShardedEngine::run_rounds(std::int64_t until_ms, bool bounded) {
         if (impl_->failed()) {
           plan_.stop = true;
         } else {
-          plan_round(until_ms, bounded);
+          // Workers read the verdict from plan_.stop, which plan_round
+          // sets exactly when it returns false.
+          (void)plan_round(until_ms, bounded);
         }
       });
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace p2p::files {
 namespace {
 
@@ -25,6 +27,23 @@ TEST(Sha1, TwoBlockMessage) {
 TEST(Sha1, MillionAs) {
   util::Bytes data(1'000'000, 'a');
   EXPECT_EQ(hex(sha1(data)), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+// Runs of 'a' at the lengths where padding spills into a second block or
+// the message fills whole blocks; digests from coreutils sha1sum.
+TEST(Sha1, BlockBoundaryLengths) {
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {65, "11655326c708d70319be2610e8a57d9a5b959d3b"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [length, digest] : vectors) {
+    EXPECT_EQ(hex(sha1(util::Bytes(length, 'a'))), digest) << length;
+  }
 }
 
 TEST(Md5, EmptyInput) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace p2p::gnutella {
 namespace {
 
@@ -94,6 +96,74 @@ TEST(QueryRouteTable, FromPatchRejectsBadSizes) {
   EXPECT_FALSE(qrt.from_patch_bytes(util::Bytes(100)));  // not a power of two
   EXPECT_FALSE(qrt.from_patch_bytes(util::Bytes(8)));    // too small
   EXPECT_FALSE(qrt.from_patch_bytes({}));
+}
+
+TEST(QueryRouteTable, RejectedPatchLeavesTableUnchanged) {
+  QueryRouteTable qrt(10);
+  qrt.add_keywords("kept across rejected patches");
+  const QueryRouteTable before = qrt;
+  for (std::size_t size : {0u, 1u, 8u, 15u, 100u, 1000u, 1025u}) {
+    EXPECT_FALSE(qrt.from_patch_bytes(util::Bytes(size, 1))) << size;
+    EXPECT_EQ(qrt, before) << size;
+  }
+  EXPECT_EQ(qrt.table_bits(), 10u);
+  EXPECT_TRUE(qrt.matches("kept patches"));
+}
+
+// Property: for any patch, decoding then encoding yields the patch with
+// every non-zero byte normalized to 1, and fill_ratio() is the share of
+// non-zero bytes. Sizes cover tables smaller than one 64-slot word.
+TEST(QueryRouteTable, PatchCodecProperty) {
+  util::Rng rng(2024);
+  for (unsigned bits = 4; bits <= 16; ++bits) {
+    for (int mode = 0; mode < 3; ++mode) {
+      util::Bytes patch(std::size_t{1} << bits);
+      for (auto& b : patch) {
+        switch (mode) {
+          case 0:  // sparse 0/1, like an honest leaf's table
+            b = rng.chance(0.05) ? 1 : 0;
+            break;
+          case 1:  // dense 0/1
+            b = rng.chance(0.5) ? 1 : 0;
+            break;
+          default:  // arbitrary bytes, as a corrupted payload carries
+            b = static_cast<std::uint8_t>(rng.chance(0.3) ? 0 : rng.next());
+        }
+      }
+      QueryRouteTable qrt(13);
+      ASSERT_TRUE(qrt.from_patch_bytes(patch));
+      EXPECT_EQ(qrt.table_bits(), bits);
+      EXPECT_EQ(qrt.slot_count(), patch.size());
+
+      util::Bytes normalized(patch.size());
+      std::size_t set = 0;
+      for (std::size_t i = 0; i < patch.size(); ++i) {
+        normalized[i] = patch[i] != 0 ? 1 : 0;
+        set += normalized[i];
+        ASSERT_EQ(qrt.test(i), patch[i] != 0) << "bits " << bits << " slot " << i;
+      }
+      EXPECT_EQ(qrt.to_patch_bytes(), normalized) << "bits " << bits << " mode " << mode;
+      EXPECT_DOUBLE_EQ(qrt.fill_ratio(),
+                       static_cast<double>(set) / static_cast<double>(patch.size()));
+    }
+  }
+}
+
+TEST(QueryRouteTable, SlotAccessAndFillOnSubWordTable) {
+  QueryRouteTable qrt(4);  // 16 slots: less than one word
+  EXPECT_EQ(qrt.slot_count(), 16u);
+  qrt.set(0);
+  qrt.set(15);
+  EXPECT_TRUE(qrt.test(0));
+  EXPECT_TRUE(qrt.test(15));
+  EXPECT_FALSE(qrt.test(7));
+  EXPECT_DOUBLE_EQ(qrt.fill_ratio(), 2.0 / 16.0);
+  qrt.fill_all();
+  EXPECT_DOUBLE_EQ(qrt.fill_ratio(), 1.0);
+  EXPECT_EQ(qrt.to_patch_bytes(), util::Bytes(16, 1));
+  qrt.clear();
+  EXPECT_DOUBLE_EQ(qrt.fill_ratio(), 0.0);
+  EXPECT_EQ(qrt.to_patch_bytes(), util::Bytes(16, 0));
 }
 
 TEST(QueryRouteTable, ConstructorValidatesBits) {

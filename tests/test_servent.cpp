@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "agents/behavior.h"
+#include "agents/epidemic.h"
 #include "files/file.h"
 #include "gnutella/shared_index.h"
+#include "malware/catalogs.h"
 
 namespace p2p::gnutella {
 namespace {
@@ -330,6 +333,193 @@ TEST(Servent, MultipleResultsInOneHit) {
   m.run_for(SimDuration::seconds(30));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].hit.results.size(), 2u);
+}
+
+// A leaf that speaks only the overlay handshake and then sends a fixed
+// list of descriptors to its ultrapeer — the QRP traffic a real leaf would
+// never send — and counts the queries the ultrapeer forwards to it.
+class ScriptedLeaf final : public sim::Node {
+ public:
+  ScriptedLeaf(util::Endpoint ultrapeer, std::vector<Message> script)
+      : ultrapeer_(ultrapeer), script_(std::move(script)) {}
+
+  void start() override {
+    auto up = network().lookup(ultrapeer_);
+    if (up) network().connect(id(), *up);
+  }
+  void on_connection_open(sim::ConnId conn, sim::NodeId, bool initiated) override {
+    if (!initiated) return;
+    network().send(conn, id(),
+                   text("GNUTELLA CONNECT/0.6\r\nX-Ultrapeer: False\r\n\r\n"));
+  }
+  void on_message(sim::ConnId conn, const util::Payload& payload) override {
+    if (!established_) {
+      established_ = true;  // the acceptor's 200 OK
+      network().send(conn, id(), text("GNUTELLA/0.6 200 OK\r\n\r\n"));
+      for (const auto& msg : script_) network().send(conn, id(), serialize(msg));
+      return;
+    }
+    auto msg = parse(payload);
+    if (msg && msg->type() == MsgType::kQuery) ++queries_received;
+  }
+
+  std::size_t queries_received = 0;
+
+ private:
+  static util::Bytes text(std::string_view s) { return util::Bytes(s.begin(), s.end()); }
+
+  util::Endpoint ultrapeer_;
+  std::vector<Message> script_;
+  bool established_ = false;
+};
+
+util::Bytes patch_for(std::string_view keywords, unsigned bits = 13) {
+  QueryRouteTable qrt(bits);
+  qrt.add_keywords(keywords);
+  return qrt.to_patch_bytes();
+}
+
+// One ultrapeer, a searching leaf and a scripted leaf; returns how many of
+// `queries` the ultrapeer forwarded to the scripted leaf.
+std::size_t forwarded_to_scripted_leaf(std::vector<Message> script,
+                                       const std::vector<std::string>& queries) {
+  MiniNet m;
+  Servent* up = m.add(true, {});
+  const auto& p = m.net.profile(up->id());
+  auto leaf = std::make_unique<ScriptedLeaf>(util::Endpoint{p.ip, p.port}, std::move(script));
+  ScriptedLeaf* scripted = leaf.get();
+  sim::HostProfile profile;
+  profile.ip = util::Ipv4(7, 7, 7, 7);
+  profile.port = 6346;
+  m.net.add_node(std::move(leaf), profile);
+  Servent* searcher = m.add(false, {});
+  m.run_for(SimDuration::seconds(30));
+  EXPECT_EQ(up->leaf_count(), 2u);
+  for (const auto& q : queries) {
+    searcher->send_query(q);
+    m.run_for(SimDuration::seconds(10));
+  }
+  return scripted->queries_received;
+}
+
+TEST(ServentQrp, PatchWithoutResetArmsTable) {
+  util::Rng rng(5);
+  std::vector<Message> script{make_qrp_patch(Guid::random(rng), patch_for("hidden treasure"))};
+  EXPECT_EQ(forwarded_to_scripted_leaf(script, {"hidden treasure", "nothing matches here"}), 1u);
+}
+
+TEST(ServentQrp, NoQrpMeansNoGate) {
+  EXPECT_EQ(forwarded_to_scripted_leaf({}, {"hidden treasure", "nothing matches here"}), 2u);
+}
+
+TEST(ServentQrp, ResetWithOutOfRangeBitsIsIgnored) {
+  util::Rng rng(6);
+  for (std::uint32_t bad_bits : {0u, 3u, 25u, 40u}) {
+    // Armed table, then a bad RESET: the table must keep gating.
+    std::vector<Message> after_patch{
+        make_qrp_reset(Guid::random(rng), 13),
+        make_qrp_patch(Guid::random(rng), patch_for("hidden treasure")),
+        make_qrp_reset(Guid::random(rng), bad_bits)};
+    EXPECT_EQ(forwarded_to_scripted_leaf(after_patch, {"hidden treasure", "nothing matches"}),
+              1u)
+        << bad_bits;
+    // A bad RESET alone allocates and arms nothing: no gate.
+    std::vector<Message> alone{make_qrp_reset(Guid::random(rng), bad_bits)};
+    EXPECT_EQ(forwarded_to_scripted_leaf(alone, {"hidden treasure", "nothing matches"}), 2u)
+        << bad_bits;
+  }
+}
+
+TEST(ServentQrp, ValidResetDisarmsUntilNextPatch) {
+  util::Rng rng(7);
+  std::vector<Message> script{make_qrp_reset(Guid::random(rng), 13),
+                              make_qrp_patch(Guid::random(rng), patch_for("hidden treasure")),
+                              make_qrp_reset(Guid::random(rng), 10)};
+  EXPECT_EQ(forwarded_to_scripted_leaf(script, {"hidden treasure", "nothing matches"}), 2u);
+}
+
+// A real leaf's shipped table gates exactly the queries its own keyword
+// table admits: matches are forwarded, the rest are suppressed.
+TEST(ServentQrp, ShippedLeafTableGatesQueries) {
+  MiniNet m;
+  Servent* up = m.add(true, {});
+  std::vector<std::shared_ptr<const files::FileContent>> shares{
+      make_file("hidden treasure.zip", 3000), make_file("blue horizon - midnight rain.mp3", 2000),
+      make_file("setup tool 2006.exe", 4000)};
+  SharedFileIndex index;
+  for (const auto& f : shares) index.add(f);
+  const QueryRouteTable table = index.build_qrt(13);
+  Servent* sharer = m.add(false, shares);
+  Servent* searcher = m.add(false, {});
+  m.run_for(SimDuration::seconds(30));
+  ASSERT_EQ(up->leaf_count(), 2u);
+
+  const std::vector<std::string> queries{
+      "hidden treasure", "treasure", "midnight rain", "blue", "setup tool",
+      "nothing matches", "hidden gem", "unrelated words", "2006", "rain check"};
+  std::uint64_t admitted = 0;
+  for (const auto& q : queries) {
+    admitted += table.matches(q) ? 1 : 0;
+    searcher->send_query(q);
+    m.run_for(SimDuration::seconds(10));
+  }
+  EXPECT_EQ(admitted, 6u);  // pinned: the four mismatches hash to unset slots
+  EXPECT_EQ(sharer->stats().queries_received, admitted);
+  EXPECT_EQ(up->stats().qrp_suppressed, queries.size() - admitted);
+}
+
+// populate_qrt must fill the table exactly as the PATCH round trip it
+// replaced: build the table, encode it, decode it into the caller's table.
+SharedFileIndex sample_shares() {
+  SharedFileIndex index;
+  for (int i = 0; i < 40; ++i) {
+    index.add(make_file("shared file " + std::to_string(i) + " track.mp3", 100));
+  }
+  return index;
+}
+
+QueryRouteTable round_trip(const QueryRouteTable& built) {
+  QueryRouteTable out(13);
+  EXPECT_TRUE(out.from_patch_bytes(built.to_patch_bytes()));
+  return out;
+}
+
+TEST(PopulateQrt, IndexAnswererMatchesPatchRoundTrip) {
+  IndexAnswerer answerer(sample_shares());
+  for (unsigned bits : {4u, 8u, 13u, 16u}) {
+    QueryRouteTable qrt(bits);
+    answerer.populate_qrt(qrt);
+    EXPECT_EQ(qrt, round_trip(sample_shares().build_qrt(bits))) << bits;
+    EXPECT_EQ(qrt.table_bits(), bits);
+  }
+}
+
+TEST(PopulateQrt, InfectedAnswererMatchesPatchRoundTrip) {
+  auto cat = malware::limewire_catalog();
+  auto store = std::make_shared<malware::ArtifactStore>(cat.strains, 5);
+  agents::InfectedAnswerer answerer(store, {0}, sample_shares(), 9);
+  QueryRouteTable all_ones(13);
+  all_ones.fill_all();
+  QueryRouteTable qrt(13);
+  answerer.populate_qrt(qrt);
+  EXPECT_EQ(qrt, round_trip(all_ones));
+}
+
+TEST(PopulateQrt, SwitchableAnswererMatchesPatchRoundTripInBothStates) {
+  auto cat = malware::limewire_catalog();
+  auto store = std::make_shared<malware::ArtifactStore>(cat.strains, 5);
+  agents::SwitchableAnswerer answerer(store, 0, sample_shares(), 9);
+  for (unsigned bits : {8u, 13u}) {
+    QueryRouteTable clean(bits);
+    answerer.populate_qrt(clean);
+    EXPECT_EQ(clean, round_trip(sample_shares().build_qrt(bits))) << bits;
+  }
+  answerer.infect();
+  QueryRouteTable all_ones(13);
+  all_ones.fill_all();
+  QueryRouteTable infected(13);
+  answerer.populate_qrt(infected);
+  EXPECT_EQ(infected, round_trip(all_ones));
 }
 
 TEST(SharedFileIndex, MatchAndLookup) {
