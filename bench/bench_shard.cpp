@@ -165,6 +165,9 @@ int main(int argc, char** argv) {
     p2p::core::LimewireStudyConfig cfg = p2p::core::limewire_quick();
     cfg.population.leaves = 1'000'000;
     cfg.shards = 4;
+    // The struct-of-arrays capacity model: the full servent model would put
+    // a million leaves on the quick preset's ultrapeers.
+    cfg.soa_capacity = true;
     Clock::time_point start = Clock::now();
     p2p::core::StudyResult result = p2p::core::run_limewire_study(cfg);
     million_wall = seconds_since(start);

@@ -100,9 +100,11 @@ tier_sanitize() {
     P2P_FUZZ_ROUNDS="${P2P_FUZZ_ROUNDS:-2000}" \
       ctest -L fuzz -j "${JOBS}" --output-on-failure
     # The zero-copy payload layer is all refcounts and aliasing — exactly
-    # what asan/ubsan are for; the shard queue's slab recycling and the
-    # word-at-a-time QRP codec and SHA-1 kernel ride along.
-    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1' -j "${JOBS}" --output-on-failure
+    # what asan/ubsan are for; the shard queue's slab recycling, the
+    # word-at-a-time QRP codec and SHA-1 kernel, the fetch pipeline all
+    # three crawlers share and the OpenFT/KAD transfer codec ride along.
+    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec' \
+      -j "${JOBS}" --output-on-failure
   )
 }
 

@@ -949,17 +949,7 @@ StudyResult ShardStudy::run(crawler::RecordSink* sink) {
     result.records.insert(result.records.end(),
                           std::make_move_iterator(vantage.records.begin()),
                           std::make_move_iterator(vantage.records.end()));
-    const auto& s = vantage.stats;
-    result.crawl_stats.queries_sent += s.queries_sent;
-    result.crawl_stats.hits += s.hits;
-    result.crawl_stats.responses += s.responses;
-    result.crawl_stats.study_responses += s.study_responses;
-    result.crawl_stats.downloads_started += s.downloads_started;
-    result.crawl_stats.downloads_ok += s.downloads_ok;
-    result.crawl_stats.downloads_failed += s.downloads_failed;
-    result.crawl_stats.bytes_downloaded += s.bytes_downloaded;
-    result.crawl_stats.distinct_contents += s.distinct_contents;
-    result.crawl_stats.scan_timeouts += s.scan_timeouts;
+    result.crawl_stats += vantage.stats;
   }
   if (vantages_.size() > 1) {
     std::stable_sort(result.records.begin(), result.records.end(),

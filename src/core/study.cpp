@@ -295,20 +295,7 @@ StudyResult run_limewire_study(const LimewireStudyConfig& config,
     result.records.insert(result.records.end(),
                           std::make_move_iterator(records.begin()),
                           std::make_move_iterator(records.end()));
-    const auto& s = c->stats();
-    result.crawl_stats.queries_sent += s.queries_sent;
-    result.crawl_stats.hits += s.hits;
-    result.crawl_stats.responses += s.responses;
-    result.crawl_stats.study_responses += s.study_responses;
-    result.crawl_stats.downloads_started += s.downloads_started;
-    result.crawl_stats.downloads_ok += s.downloads_ok;
-    result.crawl_stats.downloads_failed += s.downloads_failed;
-    result.crawl_stats.bytes_downloaded += s.bytes_downloaded;
-    result.crawl_stats.distinct_contents += s.distinct_contents;
-    result.crawl_stats.downloads_abandoned += s.downloads_abandoned;
-    result.crawl_stats.retries_spent += s.retries_spent;
-    result.crawl_stats.hosts_quarantined += s.hosts_quarantined;
-    result.crawl_stats.scan_timeouts += s.scan_timeouts;
+    result.crawl_stats += c->stats();
   }
   if (vantage_count > 1) {
     // Merge the vantage logs into one time-ordered stream with fresh ids.

@@ -1,6 +1,7 @@
-// Study-wide crawler metrics, shared by the LimeWire and OpenFT crawlers
-// (both networks feed the same `crawler.*` family; per-instance numbers stay
-// in CrawlStats). See DESIGN.md "Observability" for the naming convention.
+// Study-wide crawler metrics, fed by the fetch pipeline the LimeWire, OpenFT
+// and KAD crawlers share (every network feeds the same `crawler.*` family;
+// per-instance numbers stay in CrawlStats). See DESIGN.md "Observability"
+// for the naming convention.
 #pragma once
 
 #include "obs/metrics.h"

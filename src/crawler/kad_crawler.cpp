@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "crawler/crawler_metrics.h"
-#include "fault/fault.h"
 #include "files/hash.h"
+#include "files/transfer.h"
 #include "kad/id.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
-#include "util/strings.h"
+#include "obs/metrics.h"
 
 namespace p2p::crawler {
 
@@ -24,12 +21,6 @@ struct HoneypotMetrics {
   static HoneypotMetrics& get() { return obs::bound_metrics<HoneypotMetrics>(); }
 };
 
-/// Shares carry a path ("/shared/foo.exe"); responses display the basename.
-std::string basename_of(const std::string& path) {
-  std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 std::string vantage_network(std::size_t vantage) {
   std::string num = std::to_string(vantage);
   if (num.size() < 2) num.insert(num.begin(), '0');
@@ -44,13 +35,14 @@ KadCrawler::KadCrawler(sim::Network& net,
                        QueryWorkload workload,
                        std::shared_ptr<const malware::Scanner> scanner,
                        CrawlConfig config, KadHoneypotConfig honeypots)
-    : net_(net),
-      workload_(std::move(workload)),
-      scanner_(std::move(scanner)),
-      config_(config),
-      honeypot_config_(std::move(honeypots)),
-      rng_(config.seed),
-      labels_(config.max_download_attempts) {
+    : honeypot_config_(std::move(honeypots)),
+      fetch_(net, std::move(workload), std::move(scanner), config, "kad",
+             {.send_query = [this](const std::string& text) { return node_->search(text); },
+              .download = [this](const kad::SourceEntry& s) { return node_->download(s); },
+              .host = [](const kad::SourceEntry& s) { return s.owner.str(); },
+              .content_key = [](util::ByteView content) {
+                return files::hex(files::md5(content));
+              }}) {
   sim::HostProfile profile;
   profile.ip = util::Ipv4(156, 56, 1, 12);
   profile.port = 4662;
@@ -62,18 +54,19 @@ KadCrawler::KadCrawler(sim::Network& net,
   cfg.alias = "p2pmal-crawler";
 
   auto node = std::make_unique<kad::KadNode>(cfg, std::vector<kad::KadShare>{},
-                                             host_cache, rng_.next(), server_cache);
+                                             host_cache, fetch_.rng().next(), server_cache);
   node_ = node.get();
-  node_id_ = net_.add_node(std::move(node), profile);
+  fetch_.attach(net.add_node(std::move(node), profile));
 
   node_->set_result_callback([this](const kad::KadSearchEvent& e) { on_result(e); });
   node_->set_download_callback(
-      [this](const kad::KadDownloadOutcome& o) { on_download(o); });
+      [this](const kad::KadDownloadOutcome& o) { fetch_.on_download(o); });
 
-  add_vantages(std::move(host_cache));
+  add_vantages(net, host_cache);
 }
 
-void KadCrawler::add_vantages(std::shared_ptr<kad::KadHostCache> host_cache) {
+void KadCrawler::add_vantages(sim::Network& net,
+                              const std::shared_ptr<kad::KadHostCache>& host_cache) {
   vantage_records_.resize(honeypot_config_.vantages);
   for (std::size_t v = 0; v < honeypot_config_.vantages; ++v) {
     sim::HostProfile profile;
@@ -90,16 +83,14 @@ void KadCrawler::add_vantages(std::shared_ptr<kad::KadHostCache> host_cache) {
     // the routing overlay, and republishes the bait titles like any peer.
     // It never searches or downloads — it only logs what arrives.
     auto node = std::make_unique<kad::KadNode>(cfg, honeypot_config_.bait,
-                                               host_cache, rng_.next());
+                                               host_cache, fetch_.rng().next());
     kad::KadNode* raw = node.get();
-    sim::NodeId id = net_.add_node(std::move(node), profile);
+    net.add_node(std::move(node), profile);
     raw->set_observe_callback(
         [this, v](const kad::KadObservation& obs) { on_observation(v, obs); });
     // Make the vantage discoverable: bootstrap samples draw from the same
     // host cache the population uses.
     host_cache->add(util::Endpoint{profile.ip, profile.port});
-    vantage_nodes_.push_back(raw);
-    vantage_ids_.push_back(id);
   }
 }
 
@@ -115,7 +106,7 @@ void KadCrawler::on_observation(std::size_t vantage, const kad::KadObservation& 
   rec.source_key = obs.peer.str();
   rec.source_firewalled = obs.peer_firewalled;
   if (obs.kind == kad::KadObservation::Kind::kStore) {
-    rec.filename = basename_of(obs.filename);
+    rec.filename = files::basename_of(obs.filename);
     rec.size = obs.size;
     rec.type_by_name = files::classify_extension(rec.filename);
     rec.content_key = files::hex(obs.md5);
@@ -126,43 +117,12 @@ void KadCrawler::on_observation(std::size_t vantage, const kad::KadObservation& 
   vantage_records_[vantage].push_back(std::move(rec));
 }
 
-void KadCrawler::start() {
-  end_time_ = net_.now() + config_.warmup + config_.duration;
-  net_.schedule_node(node_id_, config_.warmup, [this] { issue_next_query(); });
-}
-
-void KadCrawler::issue_next_query() {
-  OBS_SPAN("crawler.query_cycle");
-  if (net_.now() >= end_time_) return;
-  const QueryItem& item = workload_.sample(rng_);
-  std::uint64_t search_id = node_->search(item.text);
-  query_of_search_[search_id] = item;
-  search_issued_at_[search_id] = net_.now();
-  ++stats_.queries_sent;
-  CrawlerMetrics::get().queries_sent.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "query_issued", net_.now(),
-            obs::tf("network", "kad"), obs::tf("query", item.text));
-  net_.schedule_node(node_id_, config_.query_interval, [this] { issue_next_query(); });
-}
-
 void KadCrawler::on_result(const kad::KadSearchEvent& event) {
-  auto query_it = query_of_search_.find(event.search_id);
-  if (query_it == query_of_search_.end()) return;
-  ++stats_.hits;
-  auto& m = CrawlerMetrics::get();
-  m.hits.add(1);
-  if (auto t = search_issued_at_.find(event.search_id); t != search_issued_at_.end()) {
-    m.hit_latency_ms.record(event.at - t->second);
-  }
-
+  const QueryItem* query = fetch_.on_hit(event.search_id, event.at);
+  if (query == nullptr) return;
   const auto& entry = event.entry;
-  ResponseRecord rec;
-  rec.id = next_record_id_++;
-  rec.network = "kad";
-  rec.at = event.at;
-  rec.query = query_it->second.text;
-  rec.query_category = query_it->second.category;
-  rec.filename = basename_of(entry.filename);
+  ResponseRecord rec = fetch_.new_record(*query, event.at);
+  rec.filename = files::basename_of(entry.filename);
   rec.size = entry.size;
   rec.type_by_name = files::classify_extension(rec.filename);
   rec.source_ip = entry.owner.ip;
@@ -170,210 +130,20 @@ void KadCrawler::on_result(const kad::KadSearchEvent& event) {
   rec.source_firewalled = entry.firewalled;
   rec.source_key = entry.owner.str();
   rec.content_key = files::hex(entry.md5);
-  ++stats_.responses;
-  m.responses_logged.add(1);
-
   // Firewalled owners are logged but never fetched (no push route on KAD);
   // the same content usually surfaces from a reachable replica anyway.
-  if (rec.is_study_type() && !entry.firewalled) {
-    ++stats_.study_responses;
-    m.study_responses.add(1);
-    bool skip = quarantined(entry.owner.str());
-    if (!skip && labels_.want_download(rec.content_key)) {
-      start_fetch(entry, rec.content_key, /*is_retry=*/false);
-    } else if (!skip && !labels_.has(rec.content_key)) {
-      auto& alts = alternates_[rec.content_key];
-      bool same_source =
-          std::any_of(alts.begin(), alts.end(), [&](const kad::SourceEntry& a) {
-            return a.owner == entry.owner;
-          });
-      if (!same_source && alts.size() < 5) alts.push_back(entry);
-    }
-  } else if (rec.is_study_type()) {
-    ++stats_.study_responses;
-    m.study_responses.add(1);
-  }
-  records_.push_back(std::move(rec));
-}
-
-void KadCrawler::start_fetch(const kad::SourceEntry& entry, const std::string& key,
-                             bool is_retry) {
-  auto& m = CrawlerMetrics::get();
-  labels_.mark_pending(key);
-  std::uint64_t request = node_->download(entry);
-  fetches_[request] = FetchState{key, entry.owner.str()};
-  ++stats_.downloads_started;
-  m.downloads_started.add(1);
-  if (is_retry) {
-    ++stats_.retries_spent;
-    m.download_retries.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_retry", net_.now(),
-              obs::tf("network", "kad"), obs::tf("key", key));
-  }
-  if (faults_ != nullptr && faults_->download_stalls()) stalled_.insert(request);
-  if (config_.fetch.fetch_timeout.count_ms() > 0) {
-    net_.schedule_node(node_id_, config_.fetch.fetch_timeout,
-                       [this, request] { on_fetch_timeout(request); });
-  }
-}
-
-void KadCrawler::maybe_retry(const std::string& key) {
-  if (!labels_.want_download(key)) return;
-  if (config_.fetch.retry_backoff.count_ms() <= 0) {
-    retry_now(key);
-    return;
-  }
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end() || alt_it->second.empty()) return;
-  std::uint32_t level = backoff_level_[key]++;
-  std::int64_t ms = config_.fetch.retry_backoff.count_ms()
-                    << std::min<std::uint32_t>(level, 16);
-  ms = std::min(ms, config_.fetch.retry_backoff_max.count_ms());
-  net_.schedule_node(node_id_, sim::SimDuration::millis(ms),
-                     [this, key] { retry_now(key); });
-}
-
-void KadCrawler::retry_now(const std::string& key) {
-  if (!labels_.want_download(key)) return;
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end()) return;
-  while (!alt_it->second.empty() && quarantined(alt_it->second.back().owner.str())) {
-    alt_it->second.pop_back();
-  }
-  if (alt_it->second.empty()) return;
-  kad::SourceEntry alt = std::move(alt_it->second.back());
-  alt_it->second.pop_back();
-  start_fetch(alt, key, /*is_retry=*/true);
-}
-
-void KadCrawler::on_fetch_timeout(std::uint64_t request) {
-  auto it = fetches_.find(request);
-  if (it == fetches_.end()) return;  // outcome already arrived
-  std::string key = it->second.key;
-  std::string source = it->second.source;
-  fetches_.erase(it);
-  stalled_.erase(request);
-  auto& m = CrawlerMetrics::get();
-  ++stats_.downloads_abandoned;
-  m.downloads_abandoned.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "download_abandoned", net_.now(),
-            obs::tf("network", "kad"), obs::tf("key", key));
-  labels_.mark_failed(key);
-  note_failure(source);
-  maybe_retry(key);
-}
-
-bool KadCrawler::quarantined(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return false;
-  auto it = quarantined_until_.find(source);
-  if (it == quarantined_until_.end()) return false;
-  if (net_.now() >= it->second) {
-    quarantined_until_.erase(it);
-    return false;
-  }
-  return true;
-}
-
-void KadCrawler::note_failure(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  if (++source_failures_[source] < config_.fetch.breaker_threshold) return;
-  source_failures_.erase(source);
-  quarantined_until_[source] = net_.now() + config_.fetch.breaker_cooldown;
-  auto& m = CrawlerMetrics::get();
-  ++stats_.hosts_quarantined;
-  m.hosts_quarantined.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "host_quarantined", net_.now(),
-            obs::tf("network", "kad"), obs::tf("host", source));
-}
-
-void KadCrawler::note_success(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  source_failures_.erase(source);
-}
-
-void KadCrawler::on_download(const kad::KadDownloadOutcome& outcome) {
-  auto fetch_it = fetches_.find(outcome.request_id);
-  if (fetch_it == fetches_.end()) return;  // abandoned by the watchdog
-  if (auto st = stalled_.find(outcome.request_id); st != stalled_.end()) {
-    stalled_.erase(st);
-    return;
-  }
-  std::string key = fetch_it->second.key;
-  std::string source = fetch_it->second.source;
-  fetches_.erase(fetch_it);
-
-  auto& m = CrawlerMetrics::get();
-  if (!outcome.success) {
-    ++stats_.downloads_failed;
-    m.downloads_failed.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_failed", net_.now(),
-              obs::tf("network", "kad"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    note_failure(source);
-    maybe_retry(key);
-    return;
-  }
-  alternates_.erase(key);
-  backoff_level_.erase(key);
-  ++stats_.downloads_ok;
-  stats_.bytes_downloaded += outcome.content.size();
-  m.downloads_ok.add(1);
-  m.bytes_downloaded.add(outcome.content.size());
-  P2P_TRACE(obs::Component::kCrawler, "download_ok", net_.now(),
-            obs::tf("network", "kad"), obs::tf("key", key),
-            obs::tf("bytes", static_cast<std::uint64_t>(outcome.content.size())));
-  labels_.mark_succeeded(key);
-
-  auto digest = files::md5(outcome.content);
-  if (files::hex(digest) != key) {
-    labels_.mark_failed(key);
-    if (resilience_active()) {
-      note_failure(source);
-      maybe_retry(key);
-    }
-    return;
-  }
-  note_success(source);
-  if (faults_ != nullptr && faults_->scan_times_out()) {
-    ++stats_.scan_timeouts;
-    m.scan_timeouts.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "scan_timeout", net_.now(),
-              obs::tf("network", "kad"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    maybe_retry(key);
-    return;
-  }
-  auto scan = scanner_->scan(outcome.content);
-  ContentLabel label;
-  label.infected = scan.infected();
-  label.strain = scan.primary();
-  label.strain_name = label.infected ? scanner_->strain_name(label.strain) : "";
-  label.type_by_magic = files::classify_magic(outcome.content);
-  label.size = outcome.content.size();
-  if (label.infected) m.infected_detected.add(1);
-  labels_.put(key, std::move(label));
-  ++stats_.distinct_contents;
-  m.distinct_contents.add(1);
+  fetch_.on_response(std::move(rec), entry, /*fetchable=*/!entry.firewalled);
 }
 
 void KadCrawler::finalize() {
   // Label the active client's study records from the download/scan results.
-  for (auto& rec : records_) {
-    if (rec.network != "kad" || !rec.is_study_type()) continue;
-    rec.download_attempted = true;
-    if (const ContentLabel* label = labels_.find(rec.content_key)) {
-      rec.downloaded = true;
-      rec.infected = label->infected;
-      rec.strain = label->strain;
-      rec.strain_name = label->strain_name;
-      rec.type_by_magic = label->type_by_magic;
-    }
-  }
+  fetch_.label();
   // Label honeypot observations against the population's ground truth: a
   // vantage cannot download from the peers it observes, but a published
   // md5 matching a known malicious artifact identifies the strain (the
   // digest-list check real scanners run). Honest shares from infected
   // peers stay unlabeled — only the malicious publishes count.
+  auto& records = fetch_.records();
   for (auto& vantage : vantage_records_) {
     for (auto& rec : vantage) {
       if (rec.content_key.empty()) continue;  // queries carry no content
@@ -383,22 +153,20 @@ void KadCrawler::finalize() {
       rec.strain = it->second.first;
       rec.strain_name = it->second.second;
     }
-    records_.insert(records_.end(), std::make_move_iterator(vantage.begin()),
-                    std::make_move_iterator(vantage.end()));
+    records.insert(records.end(), std::make_move_iterator(vantage.begin()),
+                   std::make_move_iterator(vantage.end()));
     vantage.clear();
   }
   // Merge the active and vantage streams into one time-ordered log.
   // stable_sort keeps the concatenation order (active first, then vantages
   // 0..N-1) on timestamp ties, so the merged log is deterministic.
-  std::stable_sort(records_.begin(), records_.end(),
+  std::stable_sort(records.begin(), records.end(),
                    [](const ResponseRecord& a, const ResponseRecord& b) {
                      return a.at < b.at;
                    });
   std::uint64_t id = 1;
-  for (auto& rec : records_) rec.id = id++;
-  if (record_sink_ != nullptr) {
-    for (const auto& rec : records_) record_sink_->on_record(rec);
-  }
+  for (auto& rec : records) rec.id = id++;
+  fetch_.emit();
 }
 
 }  // namespace p2p::crawler

@@ -1,36 +1,31 @@
 #include "crawler/limewire_crawler.h"
 
-#include <algorithm>
-
-#include "crawler/crawler_metrics.h"
-#include "fault/fault.h"
 #include "files/hash.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "util/bytes.h"
 
 namespace p2p::crawler {
-
-FetchPolicy resilient_fetch_policy() {
-  FetchPolicy p;
-  p.fetch_timeout = sim::SimDuration::seconds(120);
-  p.retry_backoff = sim::SimDuration::seconds(5);
-  p.retry_backoff_max = sim::SimDuration::minutes(2);
-  p.breaker_threshold = 4;
-  p.breaker_cooldown = sim::SimDuration::minutes(30);
-  return p;
-}
 
 LimewireCrawler::LimewireCrawler(sim::Network& net,
                                  std::shared_ptr<gnutella::HostCache> host_cache,
                                  QueryWorkload workload,
                                  std::shared_ptr<const malware::Scanner> scanner,
                                  CrawlConfig config)
-    : net_(net),
-      workload_(std::move(workload)),
-      scanner_(std::move(scanner)),
-      config_(config),
-      rng_(config.seed),
-      labels_(config.max_download_attempts) {
+    : fetch_(net, std::move(workload), std::move(scanner), config, "limewire",
+             {.send_query =
+                  [this](const std::string& text) {
+                    const CrawlConfig& c = fetch_.config();
+                    return c.dynamic_querying
+                               ? servent_->send_query_dynamic(text, c.dynamic_target_results,
+                                                              c.dynamic_probe_interval)
+                               : servent_->send_query(text);
+                  },
+              .download =
+                  [this](const Source& s) { return servent_->download(s.hit, s.result); },
+              // The breaker keys on the advertised address alone.
+              .host = [](const Source& s) { return s.hit.addr.str(); },
+              .content_key = [](util::ByteView content) {
+                return util::to_hex(files::sha1(content));
+              }}) {
   // The measurement host: public university address, generous bandwidth,
   // shares nothing (pure observer, as the paper's instrumented client).
   sim::HostProfile profile;
@@ -46,56 +41,25 @@ LimewireCrawler::LimewireCrawler(sim::Network& net,
   servent_cfg.query_ttl = config.query_ttl;
 
   auto answerer = std::make_shared<gnutella::IndexAnswerer>(gnutella::SharedFileIndex{});
-  auto servent = std::make_unique<gnutella::Servent>(servent_cfg, answerer,
-                                                     std::move(host_cache), rng_.next());
+  auto servent = std::make_unique<gnutella::Servent>(
+      servent_cfg, answerer, std::move(host_cache), fetch_.rng().next());
   servent_ = servent.get();
-  node_id_ = net_.add_node(std::move(servent), profile);
+  fetch_.attach(net.add_node(std::move(servent), profile));
 
   servent_->set_hit_callback([this](const gnutella::HitEvent& e) { on_hit(e); });
   servent_->set_download_callback(
-      [this](const gnutella::DownloadOutcome& o) { on_download(o); });
-}
-
-void LimewireCrawler::start() {
-  end_time_ = net_.now() + config_.warmup + config_.duration;
-  net_.schedule_node(node_id_, config_.warmup, [this] { issue_next_query(); });
-}
-
-void LimewireCrawler::issue_next_query() {
-  OBS_SPAN("crawler.query_cycle");
-  if (net_.now() >= end_time_) return;
-  const QueryItem& item = workload_.sample(rng_);
-  gnutella::Guid guid =
-      config_.dynamic_querying
-          ? servent_->send_query_dynamic(item.text, config_.dynamic_target_results,
-                                         config_.dynamic_probe_interval)
-          : servent_->send_query(item.text);
-  query_of_guid_[guid] = item;
-  query_issued_at_[guid] = net_.now();
-  ++stats_.queries_sent;
-  CrawlerMetrics::get().queries_sent.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "query_issued", net_.now(),
-            obs::tf("network", "limewire"), obs::tf("query", item.text));
-  net_.schedule_node(node_id_, config_.query_interval, [this] { issue_next_query(); });
+      [this](const gnutella::DownloadOutcome& o) { fetch_.on_download(o); });
 }
 
 void LimewireCrawler::on_hit(const gnutella::HitEvent& event) {
-  auto query_it = query_of_guid_.find(event.query_guid);
-  if (query_it == query_of_guid_.end()) return;
-  ++stats_.hits;
-  auto& m = CrawlerMetrics::get();
-  m.hits.add(1);
-  if (auto t = query_issued_at_.find(event.query_guid); t != query_issued_at_.end()) {
-    m.hit_latency_ms.record(event.at - t->second);
-  }
-
+  const QueryItem* query = fetch_.on_hit(event.query_guid, event.at);
+  if (query == nullptr) return;
+  Source source;
+  source.hit.addr = event.hit.addr;
+  source.hit.needs_push = event.hit.needs_push;
+  source.hit.servent_guid = event.hit.servent_guid;
   for (const auto& result : event.hit.results) {
-    ResponseRecord rec;
-    rec.id = next_record_id_++;
-    rec.network = "limewire";
-    rec.at = event.at;
-    rec.query = query_it->second.text;
-    rec.query_category = query_it->second.category;
+    ResponseRecord rec = fetch_.new_record(*query, event.at);
     rec.filename = result.filename;
     rec.size = result.size;
     rec.type_by_name = files::classify_extension(result.filename);
@@ -105,226 +69,8 @@ void LimewireCrawler::on_hit(const gnutella::HitEvent& event) {
     rec.source_key = event.hit.addr.str() + "/" +
                      event.hit.servent_guid.hex().substr(0, 8);
     rec.content_key = util::to_hex(result.sha1);
-    ++stats_.responses;
-    m.responses_logged.add(1);
-
-    if (rec.is_study_type()) {
-      ++stats_.study_responses;
-      m.study_responses.add(1);
-      // A quarantined responder is neither fetched from nor remembered as an
-      // alternate (always false with the circuit breaker off).
-      bool skip = quarantined(event.hit.addr.str());
-      if (!skip && labels_.want_download(rec.content_key)) {
-        start_fetch(event.hit, result, rec.content_key, /*is_retry=*/false);
-      } else if (!skip && !labels_.has(rec.content_key)) {
-        // Remember this responder as an alternate source in case the
-        // in-flight fetch fails.
-        auto& alts = alternates_[rec.content_key];
-        bool same_source =
-            std::any_of(alts.begin(), alts.end(), [&](const AltSource& a) {
-              return a.hit.addr == event.hit.addr;
-            });
-        if (!same_source && alts.size() < 5) {
-          gnutella::QueryHit pruned;
-          pruned.addr = event.hit.addr;
-          pruned.needs_push = event.hit.needs_push;
-          pruned.servent_guid = event.hit.servent_guid;
-          alts.push_back(AltSource{std::move(pruned), result});
-        }
-      }
-    }
-    records_.push_back(std::move(rec));
-  }
-}
-
-void LimewireCrawler::start_fetch(const gnutella::QueryHit& hit,
-                                  const gnutella::QueryHitResult& result,
-                                  const std::string& key, bool is_retry) {
-  auto& m = CrawlerMetrics::get();
-  labels_.mark_pending(key);
-  std::uint64_t request = servent_->download(hit, result);
-  fetches_[request] = FetchState{key, hit.addr.str()};
-  ++stats_.downloads_started;
-  m.downloads_started.add(1);
-  if (is_retry) {
-    ++stats_.retries_spent;
-    m.download_retries.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_retry", net_.now(),
-              obs::tf("network", "limewire"), obs::tf("key", key));
-  }
-  // Injected stall: the transfer's outcome will be suppressed; only the
-  // watchdog (if armed) resolves this fetch.
-  if (faults_ != nullptr && faults_->download_stalls()) stalled_.insert(request);
-  if (config_.fetch.fetch_timeout.count_ms() > 0) {
-    net_.schedule_node(node_id_, config_.fetch.fetch_timeout,
-                       [this, request] { on_fetch_timeout(request); });
-  }
-}
-
-void LimewireCrawler::maybe_retry(const std::string& key) {
-  if (!labels_.want_download(key)) return;
-  if (config_.fetch.retry_backoff.count_ms() <= 0) {
-    // Legacy behaviour: retry immediately, inside the failure callback.
-    retry_now(key);
-    return;
-  }
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end() || alt_it->second.empty()) return;
-  std::uint32_t level = backoff_level_[key]++;
-  std::int64_t ms = config_.fetch.retry_backoff.count_ms()
-                    << std::min<std::uint32_t>(level, 16);
-  ms = std::min(ms, config_.fetch.retry_backoff_max.count_ms());
-  net_.schedule_node(node_id_, sim::SimDuration::millis(ms),
-                     [this, key] { retry_now(key); });
-}
-
-void LimewireCrawler::retry_now(const std::string& key) {
-  // Re-checked at fire time: a concurrent fetch may have resolved the key,
-  // and alternates may have been quarantined since scheduling.
-  if (!labels_.want_download(key)) return;
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end()) return;
-  while (!alt_it->second.empty() && quarantined(alt_it->second.back().hit.addr.str())) {
-    alt_it->second.pop_back();
-  }
-  if (alt_it->second.empty()) return;
-  AltSource alt = std::move(alt_it->second.back());
-  alt_it->second.pop_back();
-  start_fetch(alt.hit, alt.result, key, /*is_retry=*/true);
-}
-
-void LimewireCrawler::on_fetch_timeout(std::uint64_t request) {
-  auto it = fetches_.find(request);
-  if (it == fetches_.end()) return;  // outcome already arrived
-  std::string key = it->second.key;
-  std::string source = it->second.source;
-  fetches_.erase(it);
-  stalled_.erase(request);
-  auto& m = CrawlerMetrics::get();
-  ++stats_.downloads_abandoned;
-  m.downloads_abandoned.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "download_abandoned", net_.now(),
-            obs::tf("network", "limewire"), obs::tf("key", key));
-  labels_.mark_failed(key);
-  note_failure(source);
-  maybe_retry(key);
-}
-
-bool LimewireCrawler::quarantined(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return false;
-  auto it = quarantined_until_.find(source);
-  if (it == quarantined_until_.end()) return false;
-  if (net_.now() >= it->second) {
-    quarantined_until_.erase(it);
-    return false;
-  }
-  return true;
-}
-
-void LimewireCrawler::note_failure(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  if (++source_failures_[source] < config_.fetch.breaker_threshold) return;
-  source_failures_.erase(source);
-  quarantined_until_[source] = net_.now() + config_.fetch.breaker_cooldown;
-  auto& m = CrawlerMetrics::get();
-  ++stats_.hosts_quarantined;
-  m.hosts_quarantined.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "host_quarantined", net_.now(),
-            obs::tf("network", "limewire"), obs::tf("host", source));
-}
-
-void LimewireCrawler::note_success(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  source_failures_.erase(source);
-}
-
-void LimewireCrawler::on_download(const gnutella::DownloadOutcome& outcome) {
-  auto fetch_it = fetches_.find(outcome.request_id);
-  if (fetch_it == fetches_.end()) return;  // abandoned by the watchdog
-  if (auto st = stalled_.find(outcome.request_id); st != stalled_.end()) {
-    // Injected stall: suppress the real outcome; the fetches_ entry stays so
-    // the watchdog still resolves (abandons) this fetch.
-    stalled_.erase(st);
-    return;
-  }
-  std::string key = fetch_it->second.key;
-  std::string source = fetch_it->second.source;
-  fetches_.erase(fetch_it);
-
-  auto& m = CrawlerMetrics::get();
-  if (!outcome.success) {
-    ++stats_.downloads_failed;
-    m.downloads_failed.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_failed", net_.now(),
-              obs::tf("network", "limewire"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    note_failure(source);
-    // Retry from an alternate responder if we have one.
-    maybe_retry(key);
-    return;
-  }
-  alternates_.erase(key);
-  backoff_level_.erase(key);
-  ++stats_.downloads_ok;
-  stats_.bytes_downloaded += outcome.content.size();
-  m.downloads_ok.add(1);
-  m.bytes_downloaded.add(outcome.content.size());
-  P2P_TRACE(obs::Component::kCrawler, "download_ok", net_.now(),
-            obs::tf("network", "limewire"), obs::tf("key", key),
-            obs::tf("bytes", static_cast<std::uint64_t>(outcome.content.size())));
-  labels_.mark_succeeded(key);
-
-  // Integrity check, then scan — exactly the paper's pipeline.
-  auto digest = files::sha1(outcome.content);
-  if (util::to_hex(digest) != key) {
-    // Content did not match its advertised hash: treat as a failed fetch.
-    // A host serving corrupted bytes counts against its circuit breaker.
-    labels_.mark_failed(key);
-    if (resilience_active()) {
-      note_failure(source);
-      maybe_retry(key);
-    }
-    return;
-  }
-  note_success(source);
-  if (faults_ != nullptr && faults_->scan_times_out()) {
-    // Injected scanner timeout: verdict unavailable; retry from another
-    // responder as the paper's apparatus would re-queue the content.
-    ++stats_.scan_timeouts;
-    m.scan_timeouts.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "scan_timeout", net_.now(),
-              obs::tf("network", "limewire"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    maybe_retry(key);
-    return;
-  }
-  auto scan = scanner_->scan(outcome.content);
-  ContentLabel label;
-  label.infected = scan.infected();
-  label.strain = scan.primary();
-  label.strain_name = label.infected ? scanner_->strain_name(label.strain) : "";
-  label.type_by_magic = files::classify_magic(outcome.content);
-  label.size = outcome.content.size();
-  if (label.infected) m.infected_detected.add(1);
-  labels_.put(key, std::move(label));
-  ++stats_.distinct_contents;
-  m.distinct_contents.add(1);
-}
-
-void LimewireCrawler::finalize() {
-  for (auto& rec : records_) {
-    if (!rec.is_study_type()) continue;
-    rec.download_attempted = true;
-    if (const ContentLabel* label = labels_.find(rec.content_key)) {
-      rec.downloaded = true;
-      rec.infected = label->infected;
-      rec.strain = label->strain;
-      rec.strain_name = label->strain_name;
-      rec.type_by_magic = label->type_by_magic;
-    }
-  }
-  if (record_sink_ != nullptr) {
-    for (const auto& rec : records_) record_sink_->on_record(rec);
+    source.result = result;
+    fetch_.on_response(std::move(rec), source);
   }
 }
 

@@ -1,93 +1,19 @@
 // The instrumented LimeWire client: a leaf servent that replays the query
 // workload, logs every response, downloads each distinct advertised content
-// once, scans it, and labels the response log.
+// once, scans it, and labels the response log (crawler/fetch.h).
 #pragma once
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "crawler/label_store.h"
+#include "crawler/fetch.h"
 #include "crawler/records.h"
 #include "crawler/workload.h"
 #include "gnutella/servent.h"
 #include "malware/scanner.h"
 #include "sim/network.h"
 
-namespace p2p::fault {
-class FaultInjector;
-}
-
 namespace p2p::crawler {
-
-/// Crawler-side resilience against lossy networks (see DESIGN.md "Fault
-/// injection & resilience"). Every knob's zero default reproduces the
-/// pre-fault-layer crawler exactly — enabling any of them is what a chaos
-/// study does via core::apply_faults.
-struct FetchPolicy {
-  /// Give up on a fetch whose outcome never arrives (stalled transfer).
-  /// Zero disables the watchdog.
-  sim::SimDuration fetch_timeout{};
-  /// Base delay of the bounded exponential backoff between a failed fetch
-  /// and its retry from an alternate source. Zero retries immediately
-  /// within the failure callback (the original crawler behaviour).
-  sim::SimDuration retry_backoff{};
-  sim::SimDuration retry_backoff_max = sim::SimDuration::minutes(5);
-  /// Consecutive failures from one host before it is quarantined (circuit
-  /// breaker). Zero disables the breaker.
-  std::size_t breaker_threshold = 0;
-  sim::SimDuration breaker_cooldown = sim::SimDuration::minutes(30);
-
-  [[nodiscard]] bool active() const {
-    return fetch_timeout.count_ms() > 0 || retry_backoff.count_ms() > 0 ||
-           breaker_threshold > 0;
-  }
-};
-
-/// The resilience defaults a fault-injected study runs with (applied by
-/// core::apply_faults alongside the fault spec).
-[[nodiscard]] FetchPolicy resilient_fetch_policy();
-
-struct CrawlConfig {
-  /// How long the crawl runs (the paper: "over a month of data").
-  sim::SimDuration duration = sim::SimDuration::days(30);
-  /// One workload query per interval.
-  sim::SimDuration query_interval = sim::SimDuration::seconds(600);
-  /// Let the overlay form before the first query.
-  sim::SimDuration warmup = sim::SimDuration::minutes(3);
-  int max_download_attempts = 3;
-  /// TTL stamped on the crawler's queries (Gnutella only; A2 sweeps this).
-  std::uint8_t query_ttl = 4;
-  /// Use leaf-side dynamic querying instead of flooding all ultrapeers at
-  /// once (Gnutella only; A4 compares the two).
-  bool dynamic_querying = false;
-  std::size_t dynamic_target_results = 60;
-  sim::SimDuration dynamic_probe_interval = sim::SimDuration::seconds(8);
-  /// Address of the measurement host (multi-vantage studies run several
-  /// crawlers on distinct addresses).
-  util::Ipv4 vantage_ip = util::Ipv4(156, 56, 1, 10);
-  std::uint64_t seed = 99;
-  /// Resilience knobs; the all-zero default is the legacy crawler.
-  FetchPolicy fetch{};
-};
-
-struct CrawlStats {
-  std::uint64_t queries_sent = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t study_responses = 0;  // exe/archive by advertised name
-  std::uint64_t downloads_started = 0;
-  std::uint64_t downloads_ok = 0;
-  std::uint64_t downloads_failed = 0;
-  std::uint64_t bytes_downloaded = 0;
-  std::uint64_t distinct_contents = 0;
-  // Graceful-degradation counters (all zero in a fault-free run).
-  std::uint64_t downloads_abandoned = 0;  // fetch watchdog fired
-  std::uint64_t retries_spent = 0;        // re-fetches from alternate sources
-  std::uint64_t hosts_quarantined = 0;    // circuit-breaker trips
-  std::uint64_t scan_timeouts = 0;        // injected scanner timeouts
-};
 
 class LimewireCrawler {
  public:
@@ -99,86 +25,42 @@ class LimewireCrawler {
 
   /// Begin the query schedule. Run the network's event loop to make
   /// progress; after `config.duration` the crawler stops issuing queries.
-  void start();
+  void start() { fetch_.start(); }
 
   /// Apply content labels to all records. Call once the event loop has
   /// drained past the crawl end. Streams every joined record through the
   /// record sink, when one is set.
-  void finalize();
+  void finalize() { fetch_.finalize(); }
 
   /// Install a capture sink (not owned; may be null). Must outlive
   /// finalize().
-  void set_record_sink(RecordSink* sink) { record_sink_ = sink; }
+  void set_record_sink(RecordSink* sink) { fetch_.set_record_sink(sink); }
 
   /// Install the fault injector driving download stalls and scanner
   /// timeouts (not owned; may be null = no injected crawler faults).
-  void set_fault_injector(fault::FaultInjector* injector) { faults_ = injector; }
-
-  [[nodiscard]] const std::vector<ResponseRecord>& records() const { return records_; }
-  [[nodiscard]] std::vector<ResponseRecord>&& take_records() {
-    return std::move(records_);
+  void set_fault_injector(fault::FaultInjector* injector) {
+    fetch_.set_fault_injector(injector);
   }
-  [[nodiscard]] const CrawlStats& stats() const { return stats_; }
-  [[nodiscard]] const LabelStore& labels() const { return labels_; }
-  [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
-  [[nodiscard]] gnutella::Servent& servent() { return *servent_; }
+
+  [[nodiscard]] const std::vector<ResponseRecord>& records() const {
+    return fetch_.records();
+  }
+  [[nodiscard]] std::vector<ResponseRecord>&& take_records() {
+    return std::move(fetch_.records());
+  }
+  [[nodiscard]] const CrawlStats& stats() const { return fetch_.stats(); }
 
  private:
-  void issue_next_query();
-  void on_hit(const gnutella::HitEvent& event);
-  void on_download(const gnutella::DownloadOutcome& outcome);
-  void start_fetch(const gnutella::QueryHit& hit, const gnutella::QueryHitResult& result,
-                   const std::string& key, bool is_retry);
-  void maybe_retry(const std::string& key);
-  void retry_now(const std::string& key);
-  void on_fetch_timeout(std::uint64_t request);
-  [[nodiscard]] bool resilience_active() const { return config_.fetch.active(); }
-  [[nodiscard]] bool quarantined(const std::string& source);
-  void note_failure(const std::string& source);
-  void note_success(const std::string& source);
-
-  sim::Network& net_;
-  QueryWorkload workload_;
-  std::shared_ptr<const malware::Scanner> scanner_;
-  CrawlConfig config_;
-  util::Rng rng_;
-
-  gnutella::Servent* servent_ = nullptr;  // owned by the network
-  sim::NodeId node_id_ = sim::kInvalidNode;
-  sim::SimTime end_time_;
-
-  std::unordered_map<gnutella::Guid, QueryItem, gnutella::GuidHash> query_of_guid_;
-  /// When each query left the vantage point, for the hit-latency histogram.
-  std::unordered_map<gnutella::Guid, sim::SimTime, gnutella::GuidHash> query_issued_at_;
-  /// In-flight fetches: request id -> content key and the source host it was
-  /// issued to (for the circuit breaker).
-  struct FetchState {
-    std::string key;
-    std::string source;
-  };
-  std::unordered_map<std::uint64_t, FetchState> fetches_;
-  /// Requests whose outcome already resolved (watchdog abandonment or an
-  /// injected stall); a late DownloadOutcome for these is ignored.
-  std::unordered_set<std::uint64_t> stalled_;
-  /// Alternate sources per content key, for retry after a failed fetch
-  /// (the paper's apparatus downloaded from another responder on failure).
-  struct AltSource {
-    gnutella::QueryHit hit;  // pruned to the one relevant result
+  /// A responder and the one result of its hit to fetch.
+  struct Source {
+    gnutella::QueryHit hit;  // pruned to the fields a download uses
     gnutella::QueryHitResult result;
   };
-  std::unordered_map<std::string, std::vector<AltSource>> alternates_;
-  /// Circuit breaker: consecutive failures per source host, and hosts
-  /// quarantined until a deadline.
-  std::unordered_map<std::string, std::size_t> source_failures_;
-  std::unordered_map<std::string, sim::SimTime> quarantined_until_;
-  /// Backoff exponent per content key (count of scheduled retries so far).
-  std::unordered_map<std::string, std::uint32_t> backoff_level_;
-  fault::FaultInjector* faults_ = nullptr;
-  LabelStore labels_;
-  std::vector<ResponseRecord> records_;
-  CrawlStats stats_;
-  std::uint64_t next_record_id_ = 1;
-  RecordSink* record_sink_ = nullptr;
+
+  void on_hit(const gnutella::HitEvent& event);
+
+  gnutella::Servent* servent_ = nullptr;  // owned by the network
+  FetchPipeline<Source, gnutella::Guid, gnutella::GuidHash> fetch_;
 };
 
 }  // namespace p2p::crawler

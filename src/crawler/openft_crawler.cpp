@@ -1,36 +1,23 @@
 #include "crawler/openft_crawler.h"
 
-#include <algorithm>
-
-#include "crawler/crawler_metrics.h"
-#include "fault/fault.h"
 #include "files/hash.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
-#include "util/strings.h"
+#include "files/transfer.h"
 
 namespace p2p::crawler {
-
-namespace {
-/// OpenFT shares carry a path ("/shared/foo.exe"); responses display the
-/// basename.
-std::string basename_of(const std::string& path) {
-  std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-}  // namespace
 
 OpenFtCrawler::OpenFtCrawler(sim::Network& net,
                              std::shared_ptr<openft::FtHostCache> host_cache,
                              QueryWorkload workload,
                              std::shared_ptr<const malware::Scanner> scanner,
                              CrawlConfig config)
-    : net_(net),
-      workload_(std::move(workload)),
-      scanner_(std::move(scanner)),
-      config_(config),
-      rng_(config.seed),
-      labels_(config.max_download_attempts) {
+    : fetch_(net, std::move(workload), std::move(scanner), config, "openft",
+             {.send_query = [this](const std::string& text) { return node_->search(text); },
+              .download =
+                  [this](const openft::SearchResponse& s) { return node_->download(s); },
+              .host = [](const openft::SearchResponse& s) { return s.owner.str(); },
+              .content_key = [](util::ByteView content) {
+                return files::hex(files::md5(content));
+              }}) {
   sim::HostProfile profile;
   profile.ip = util::Ipv4(156, 56, 1, 11);
   profile.port = 1216;
@@ -44,52 +31,21 @@ OpenFtCrawler::OpenFtCrawler(sim::Network& net,
   cfg.parent_count = 3;
 
   auto node = std::make_unique<openft::FtNode>(cfg, std::vector<openft::FtShare>{},
-                                               std::move(host_cache), rng_.next());
+                                               std::move(host_cache), fetch_.rng().next());
   node_ = node.get();
-  node_id_ = net_.add_node(std::move(node), profile);
+  fetch_.attach(net.add_node(std::move(node), profile));
 
   node_->set_result_callback([this](const openft::FtSearchEvent& e) { on_result(e); });
   node_->set_download_callback(
-      [this](const openft::FtDownloadOutcome& o) { on_download(o); });
-}
-
-void OpenFtCrawler::start() {
-  end_time_ = net_.now() + config_.warmup + config_.duration;
-  net_.schedule_node(node_id_, config_.warmup, [this] { issue_next_query(); });
-}
-
-void OpenFtCrawler::issue_next_query() {
-  OBS_SPAN("crawler.query_cycle");
-  if (net_.now() >= end_time_) return;
-  const QueryItem& item = workload_.sample(rng_);
-  std::uint64_t search_id = node_->search(item.text);
-  query_of_search_[search_id] = item;
-  search_issued_at_[search_id] = net_.now();
-  ++stats_.queries_sent;
-  CrawlerMetrics::get().queries_sent.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "query_issued", net_.now(),
-            obs::tf("network", "openft"), obs::tf("query", item.text));
-  net_.schedule_node(node_id_, config_.query_interval, [this] { issue_next_query(); });
+      [this](const openft::FtDownloadOutcome& o) { fetch_.on_download(o); });
 }
 
 void OpenFtCrawler::on_result(const openft::FtSearchEvent& event) {
-  auto query_it = query_of_search_.find(event.search_id);
-  if (query_it == query_of_search_.end()) return;
-  ++stats_.hits;
-  auto& m = CrawlerMetrics::get();
-  m.hits.add(1);
-  if (auto t = search_issued_at_.find(event.search_id); t != search_issued_at_.end()) {
-    m.hit_latency_ms.record(event.at - t->second);
-  }
-
+  const QueryItem* query = fetch_.on_hit(event.search_id, event.at);
+  if (query == nullptr) return;
   const auto& entry = event.entry;
-  ResponseRecord rec;
-  rec.id = next_record_id_++;
-  rec.network = "openft";
-  rec.at = event.at;
-  rec.query = query_it->second.text;
-  rec.query_category = query_it->second.category;
-  rec.filename = basename_of(entry.path);
+  ResponseRecord rec = fetch_.new_record(*query, event.at);
+  rec.filename = files::basename_of(entry.path);
   rec.size = entry.size;
   rec.type_by_name = files::classify_extension(rec.filename);
   rec.source_ip = entry.owner.ip;
@@ -97,210 +53,7 @@ void OpenFtCrawler::on_result(const openft::FtSearchEvent& event) {
   rec.source_firewalled = entry.owner_firewalled;
   rec.source_key = entry.owner.str();
   rec.content_key = files::hex(entry.md5);
-  ++stats_.responses;
-  m.responses_logged.add(1);
-
-  if (rec.is_study_type()) {
-    ++stats_.study_responses;
-    m.study_responses.add(1);
-    // A quarantined responder is neither fetched from nor remembered as an
-    // alternate (always false with the circuit breaker off).
-    bool skip = quarantined(entry.owner.str());
-    if (!skip && labels_.want_download(rec.content_key)) {
-      start_fetch(entry, rec.content_key, /*is_retry=*/false);
-    } else if (!skip && !labels_.has(rec.content_key)) {
-      auto& alts = alternates_[rec.content_key];
-      bool same_source =
-          std::any_of(alts.begin(), alts.end(), [&](const openft::SearchResponse& a) {
-            return a.owner == entry.owner;
-          });
-      if (!same_source && alts.size() < 5) alts.push_back(entry);
-    }
-  }
-  records_.push_back(std::move(rec));
-}
-
-void OpenFtCrawler::start_fetch(const openft::SearchResponse& entry,
-                                const std::string& key, bool is_retry) {
-  auto& m = CrawlerMetrics::get();
-  labels_.mark_pending(key);
-  std::uint64_t request = node_->download(entry);
-  fetches_[request] = FetchState{key, entry.owner.str()};
-  ++stats_.downloads_started;
-  m.downloads_started.add(1);
-  if (is_retry) {
-    ++stats_.retries_spent;
-    m.download_retries.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_retry", net_.now(),
-              obs::tf("network", "openft"), obs::tf("key", key));
-  }
-  // Injected stall: the transfer's outcome will be suppressed; only the
-  // watchdog (if armed) resolves this fetch.
-  if (faults_ != nullptr && faults_->download_stalls()) stalled_.insert(request);
-  if (config_.fetch.fetch_timeout.count_ms() > 0) {
-    net_.schedule_node(node_id_, config_.fetch.fetch_timeout,
-                       [this, request] { on_fetch_timeout(request); });
-  }
-}
-
-void OpenFtCrawler::maybe_retry(const std::string& key) {
-  if (!labels_.want_download(key)) return;
-  if (config_.fetch.retry_backoff.count_ms() <= 0) {
-    // Legacy behaviour: retry immediately, inside the failure callback.
-    retry_now(key);
-    return;
-  }
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end() || alt_it->second.empty()) return;
-  std::uint32_t level = backoff_level_[key]++;
-  std::int64_t ms = config_.fetch.retry_backoff.count_ms()
-                    << std::min<std::uint32_t>(level, 16);
-  ms = std::min(ms, config_.fetch.retry_backoff_max.count_ms());
-  net_.schedule_node(node_id_, sim::SimDuration::millis(ms),
-                     [this, key] { retry_now(key); });
-}
-
-void OpenFtCrawler::retry_now(const std::string& key) {
-  if (!labels_.want_download(key)) return;
-  auto alt_it = alternates_.find(key);
-  if (alt_it == alternates_.end()) return;
-  while (!alt_it->second.empty() && quarantined(alt_it->second.back().owner.str())) {
-    alt_it->second.pop_back();
-  }
-  if (alt_it->second.empty()) return;
-  openft::SearchResponse alt = std::move(alt_it->second.back());
-  alt_it->second.pop_back();
-  start_fetch(alt, key, /*is_retry=*/true);
-}
-
-void OpenFtCrawler::on_fetch_timeout(std::uint64_t request) {
-  auto it = fetches_.find(request);
-  if (it == fetches_.end()) return;  // outcome already arrived
-  std::string key = it->second.key;
-  std::string source = it->second.source;
-  fetches_.erase(it);
-  stalled_.erase(request);
-  auto& m = CrawlerMetrics::get();
-  ++stats_.downloads_abandoned;
-  m.downloads_abandoned.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "download_abandoned", net_.now(),
-            obs::tf("network", "openft"), obs::tf("key", key));
-  labels_.mark_failed(key);
-  note_failure(source);
-  maybe_retry(key);
-}
-
-bool OpenFtCrawler::quarantined(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return false;
-  auto it = quarantined_until_.find(source);
-  if (it == quarantined_until_.end()) return false;
-  if (net_.now() >= it->second) {
-    quarantined_until_.erase(it);
-    return false;
-  }
-  return true;
-}
-
-void OpenFtCrawler::note_failure(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  if (++source_failures_[source] < config_.fetch.breaker_threshold) return;
-  source_failures_.erase(source);
-  quarantined_until_[source] = net_.now() + config_.fetch.breaker_cooldown;
-  auto& m = CrawlerMetrics::get();
-  ++stats_.hosts_quarantined;
-  m.hosts_quarantined.add(1);
-  P2P_TRACE(obs::Component::kCrawler, "host_quarantined", net_.now(),
-            obs::tf("network", "openft"), obs::tf("host", source));
-}
-
-void OpenFtCrawler::note_success(const std::string& source) {
-  if (config_.fetch.breaker_threshold == 0) return;
-  source_failures_.erase(source);
-}
-
-void OpenFtCrawler::on_download(const openft::FtDownloadOutcome& outcome) {
-  auto fetch_it = fetches_.find(outcome.request_id);
-  if (fetch_it == fetches_.end()) return;  // abandoned by the watchdog
-  if (auto st = stalled_.find(outcome.request_id); st != stalled_.end()) {
-    // Injected stall: suppress the real outcome; the fetches_ entry stays so
-    // the watchdog still resolves (abandons) this fetch.
-    stalled_.erase(st);
-    return;
-  }
-  std::string key = fetch_it->second.key;
-  std::string source = fetch_it->second.source;
-  fetches_.erase(fetch_it);
-
-  auto& m = CrawlerMetrics::get();
-  if (!outcome.success) {
-    ++stats_.downloads_failed;
-    m.downloads_failed.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "download_failed", net_.now(),
-              obs::tf("network", "openft"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    note_failure(source);
-    maybe_retry(key);
-    return;
-  }
-  alternates_.erase(key);
-  backoff_level_.erase(key);
-  ++stats_.downloads_ok;
-  stats_.bytes_downloaded += outcome.content.size();
-  m.downloads_ok.add(1);
-  m.bytes_downloaded.add(outcome.content.size());
-  P2P_TRACE(obs::Component::kCrawler, "download_ok", net_.now(),
-            obs::tf("network", "openft"), obs::tf("key", key),
-            obs::tf("bytes", static_cast<std::uint64_t>(outcome.content.size())));
-  labels_.mark_succeeded(key);
-
-  auto digest = files::md5(outcome.content);
-  if (files::hex(digest) != key) {
-    // A host serving corrupted bytes counts against its circuit breaker.
-    labels_.mark_failed(key);
-    if (resilience_active()) {
-      note_failure(source);
-      maybe_retry(key);
-    }
-    return;
-  }
-  note_success(source);
-  if (faults_ != nullptr && faults_->scan_times_out()) {
-    ++stats_.scan_timeouts;
-    m.scan_timeouts.add(1);
-    P2P_TRACE(obs::Component::kCrawler, "scan_timeout", net_.now(),
-              obs::tf("network", "openft"), obs::tf("key", key));
-    labels_.mark_failed(key);
-    maybe_retry(key);
-    return;
-  }
-  auto scan = scanner_->scan(outcome.content);
-  ContentLabel label;
-  label.infected = scan.infected();
-  label.strain = scan.primary();
-  label.strain_name = label.infected ? scanner_->strain_name(label.strain) : "";
-  label.type_by_magic = files::classify_magic(outcome.content);
-  label.size = outcome.content.size();
-  if (label.infected) m.infected_detected.add(1);
-  labels_.put(key, std::move(label));
-  ++stats_.distinct_contents;
-  m.distinct_contents.add(1);
-}
-
-void OpenFtCrawler::finalize() {
-  for (auto& rec : records_) {
-    if (!rec.is_study_type()) continue;
-    rec.download_attempted = true;
-    if (const ContentLabel* label = labels_.find(rec.content_key)) {
-      rec.downloaded = true;
-      rec.infected = label->infected;
-      rec.strain = label->strain;
-      rec.strain_name = label->strain_name;
-      rec.type_by_magic = label->type_by_magic;
-    }
-  }
-  if (record_sink_ != nullptr) {
-    for (const auto& rec : records_) record_sink_->on_record(rec);
-  }
+  fetch_.on_response(std::move(rec), entry);
 }
 
 }  // namespace p2p::crawler

@@ -1,15 +1,12 @@
 // The instrumented OpenFT client: a USER node that replays the query
 // workload through its SEARCH parents, logs responses, downloads each
-// distinct content (by MD5) once, scans, and labels.
+// distinct content (by MD5) once, scans, and labels (crawler/fetch.h).
 #pragma once
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "crawler/label_store.h"
-#include "crawler/limewire_crawler.h"  // CrawlConfig, CrawlStats
+#include "crawler/fetch.h"
 #include "crawler/records.h"
 #include "crawler/workload.h"
 #include "malware/scanner.h"
@@ -24,75 +21,34 @@ class OpenFtCrawler {
                 QueryWorkload workload,
                 std::shared_ptr<const malware::Scanner> scanner, CrawlConfig config);
 
-  void start();
+  void start() { fetch_.start(); }
   /// Apply content labels; streams every joined record through the record
   /// sink, when one is set.
-  void finalize();
+  void finalize() { fetch_.finalize(); }
 
   /// Install a capture sink (not owned; may be null). Must outlive
   /// finalize().
-  void set_record_sink(RecordSink* sink) { record_sink_ = sink; }
+  void set_record_sink(RecordSink* sink) { fetch_.set_record_sink(sink); }
 
   /// Install the fault injector driving download stalls and scanner
   /// timeouts (not owned; may be null = no injected crawler faults).
-  void set_fault_injector(fault::FaultInjector* injector) { faults_ = injector; }
-
-  [[nodiscard]] const std::vector<ResponseRecord>& records() const { return records_; }
-  [[nodiscard]] std::vector<ResponseRecord>&& take_records() {
-    return std::move(records_);
+  void set_fault_injector(fault::FaultInjector* injector) {
+    fetch_.set_fault_injector(injector);
   }
-  [[nodiscard]] const CrawlStats& stats() const { return stats_; }
-  [[nodiscard]] const LabelStore& labels() const { return labels_; }
-  [[nodiscard]] sim::NodeId node_id() const { return node_id_; }
-  [[nodiscard]] openft::FtNode& node() { return *node_; }
+
+  [[nodiscard]] const std::vector<ResponseRecord>& records() const {
+    return fetch_.records();
+  }
+  [[nodiscard]] std::vector<ResponseRecord>&& take_records() {
+    return std::move(fetch_.records());
+  }
+  [[nodiscard]] const CrawlStats& stats() const { return fetch_.stats(); }
 
  private:
-  void issue_next_query();
   void on_result(const openft::FtSearchEvent& event);
-  void on_download(const openft::FtDownloadOutcome& outcome);
-  void start_fetch(const openft::SearchResponse& entry, const std::string& key,
-                   bool is_retry);
-  void maybe_retry(const std::string& key);
-  void retry_now(const std::string& key);
-  void on_fetch_timeout(std::uint64_t request);
-  [[nodiscard]] bool resilience_active() const { return config_.fetch.active(); }
-  [[nodiscard]] bool quarantined(const std::string& source);
-  void note_failure(const std::string& source);
-  void note_success(const std::string& source);
-
-  sim::Network& net_;
-  QueryWorkload workload_;
-  std::shared_ptr<const malware::Scanner> scanner_;
-  CrawlConfig config_;
-  util::Rng rng_;
 
   openft::FtNode* node_ = nullptr;  // owned by the network
-  sim::NodeId node_id_ = sim::kInvalidNode;
-  sim::SimTime end_time_;
-
-  std::unordered_map<std::uint64_t, QueryItem> query_of_search_;
-  /// When each search left the vantage point, for the hit-latency histogram.
-  std::unordered_map<std::uint64_t, sim::SimTime> search_issued_at_;
-  /// In-flight fetches: request id -> content key and source host.
-  struct FetchState {
-    std::string key;
-    std::string source;
-  };
-  std::unordered_map<std::uint64_t, FetchState> fetches_;
-  /// Requests with an injected stall; their real outcome is suppressed.
-  std::unordered_set<std::uint64_t> stalled_;
-  /// Alternate sources per content key for retry after failed fetches.
-  std::unordered_map<std::string, std::vector<openft::SearchResponse>> alternates_;
-  /// Circuit breaker state (see LimewireCrawler).
-  std::unordered_map<std::string, std::size_t> source_failures_;
-  std::unordered_map<std::string, sim::SimTime> quarantined_until_;
-  std::unordered_map<std::string, std::uint32_t> backoff_level_;
-  fault::FaultInjector* faults_ = nullptr;
-  LabelStore labels_;
-  std::vector<ResponseRecord> records_;
-  CrawlStats stats_;
-  std::uint64_t next_record_id_ = 1;
-  RecordSink* record_sink_ = nullptr;
+  FetchPipeline<openft::SearchResponse> fetch_;
 };
 
 }  // namespace p2p::crawler

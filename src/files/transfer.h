@@ -1,0 +1,38 @@
+// The HTTP-flavored file-transfer exchange the OpenFT and KAD stacks share:
+// "GET /<md5 hex> HTTP/1.1" asks for a content by digest; the reply is an
+// HTTP/1.1 status line, a Content-Length header and the body.
+#pragma once
+
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "files/hash.h"
+#include "util/bytes.h"
+
+namespace p2p::files {
+
+/// Wire bytes as text (no copy).
+[[nodiscard]] std::string_view as_view(util::ByteView bytes);
+[[nodiscard]] util::Bytes text_bytes(std::string_view text);
+
+[[nodiscard]] util::Bytes make_get(const Digest16& md5);
+/// The requested digest, or nullopt for anything but a well-formed GET of a
+/// 32-hex-digit digest.
+[[nodiscard]] std::optional<Digest16> parse_get(util::ByteView wire);
+
+/// A 200 carrying `body`, or a 404 when `body` is null.
+[[nodiscard]] util::Bytes make_response(int status, const util::Bytes* body);
+
+struct ParsedResponse {
+  int status = 0;
+  util::Bytes body;
+};
+/// nullopt unless `wire` has an HTTP/1.1 status line with a numeric status
+/// and a complete header block.
+[[nodiscard]] std::optional<ParsedResponse> parse_response(util::ByteView wire);
+
+/// Shares carry a path ("/shared/foo.exe"); responses display the basename.
+[[nodiscard]] std::string basename_of(const std::string& path);
+
+}  // namespace p2p::files

@@ -1,8 +1,8 @@
 #include "kad/node.h"
 
 #include <algorithm>
-#include <charconv>
 
+#include "files/transfer.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/strings.h"
@@ -29,65 +29,6 @@ struct KadMetrics {
 
   static KadMetrics& get() { return obs::bound_metrics<KadMetrics>(); }
 };
-
-std::string_view as_view(util::ByteView b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
-util::Bytes text_bytes(std::string_view s) { return util::Bytes(s.begin(), s.end()); }
-
-// -- Transfer framing (same HTTP-flavored exchange as the OpenFT stack;
-// KadPacket's u16 length prefix caps packets at 64 KiB, so file bytes
-// travel on a dedicated connection outside that framing) ------------------
-
-util::Bytes make_get(const files::Digest16& md5) {
-  return text_bytes("GET /" + files::hex(md5) + " HTTP/1.1\r\n\r\n");
-}
-
-std::optional<files::Digest16> parse_get(util::ByteView wire) {
-  std::string_view text = as_view(wire);
-  if (!text.starts_with("GET /")) return std::nullopt;
-  std::size_t space = text.find(' ', 5);
-  if (space == std::string_view::npos) return std::nullopt;
-  auto bytes = util::from_hex(text.substr(5, space - 5));
-  files::Digest16 md5;
-  if (!bytes || bytes->size() != md5.size()) return std::nullopt;
-  std::copy(bytes->begin(), bytes->end(), md5.begin());
-  return md5;
-}
-
-util::Bytes make_response(int status, const util::Bytes* body) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) +
-                     (status == 200 ? " OK" : " Not Found") +
-                     "\r\nContent-Length: " +
-                     std::to_string(body ? body->size() : 0) + "\r\n\r\n";
-  util::Bytes out = text_bytes(head);
-  if (body) out.insert(out.end(), body->begin(), body->end());
-  return out;
-}
-
-struct ParsedResponse {
-  int status = 0;
-  util::Bytes body;
-};
-
-std::optional<ParsedResponse> parse_response(util::ByteView wire) {
-  std::string_view text = as_view(wire);
-  if (!text.starts_with("HTTP/1.1 ")) return std::nullopt;
-  std::size_t head_end = text.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) return std::nullopt;
-  ParsedResponse out;
-  auto status_str = text.substr(9, 3);
-  auto [p, ec] = std::from_chars(status_str.data(), status_str.data() + 3, out.status);
-  if (ec != std::errc{}) return std::nullopt;
-  out.body.assign(wire.begin() + static_cast<std::ptrdiff_t>(head_end + 4), wire.end());
-  return out;
-}
-
-std::string basename_of(const std::string& path) {
-  auto slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
 
 /// Keywords a share is published under: the first `limit` distinct
 /// tokens of length >= 3 from the filename (falling back to the first
@@ -354,7 +295,7 @@ void KadNode::on_connection_open(sim::ConnId conn, sim::NodeId peer,
       return;
     }
     dit->second.transfer_started = true;
-    network().send(conn, id(), make_get(dit->second.entry.md5));
+    network().send(conn, id(), files::make_get(dit->second.entry.md5));
   }
 }
 
@@ -394,7 +335,7 @@ void KadNode::on_message(sim::ConnId conn, const util::Payload& payload) {
   util::ByteView wire{payload.data(), payload.size()};
 
   if (state.kind == ConnKind::kTransferOut) {
-    auto response = parse_response(wire);
+    auto response = files::parse_response(wire);
     std::uint64_t did = state.download_id;
     network().close(conn, id());
     conns_.erase(it);
@@ -423,7 +364,7 @@ void KadNode::on_message(sim::ConnId conn, const util::Payload& payload) {
   if (!pkt) {
     if (state.kind == ConnKind::kIn) {
       // First message on an accepted connection may be a transfer GET.
-      if (auto md5 = parse_get(wire)) {
+      if (auto md5 = files::parse_get(wire)) {
         handle_transfer_request(conn, wire);
         return;
       }
@@ -652,7 +593,7 @@ void KadNode::publish_pass() {
   // neighborhood and STORE (staggered to smooth the connection burst).
   std::map<KadId, std::vector<SourceEntry>> by_keyword;
   for (const auto& share : shares_) {
-    std::string filename = basename_of(share.path);
+    std::string filename = files::basename_of(share.path);
     SourceEntry entry;
     entry.filename = filename;
     entry.size = share.content->size();
@@ -697,7 +638,7 @@ void KadNode::register_at_server() {
   reg.owner = self_.addr;
   reg.firewalled = self_.firewalled;
   for (const auto& share : shares_) {
-    std::string filename = basename_of(share.path);
+    std::string filename = files::basename_of(share.path);
     SourceEntry entry;
     auto tokens = publish_tokens(filename, 1);
     entry.keyword = tokens.empty() ? KadId{} : keyword_id(tokens.front());
@@ -747,17 +688,17 @@ std::uint64_t KadNode::download(const SourceEntry& entry) {
 }
 
 void KadNode::handle_transfer_request(sim::ConnId conn, util::ByteView wire) {
-  auto md5 = parse_get(wire);
+  auto md5 = files::parse_get(wire);
   if (!md5) return;
   auto it = md5_to_share_.find(files::hex(*md5));
   if (it == md5_to_share_.end()) {
-    network().send(conn, id(), make_response(404, nullptr));
+    network().send(conn, id(), files::make_response(404, nullptr));
     return;
   }
   ++stats_.uploads_served;
   KadMetrics::get().uploads_served.add(1);
   network().send(conn, id(),
-                 make_response(200, &shares_[it->second].content->bytes()));
+                 files::make_response(200, &shares_[it->second].content->bytes()));
 }
 
 void KadNode::fail_download(std::uint64_t id_, const std::string& error) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "files/transfer.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -30,61 +31,10 @@ struct OpenFtMetrics {
   static OpenFtMetrics& get() { return obs::bound_metrics<OpenFtMetrics>(); }
 };
 
-std::string_view as_view(util::ByteView b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
-util::Bytes text_bytes(std::string_view s) { return util::Bytes(s.begin(), s.end()); }
-
-// -- Transfer framing (OpenFT-style HTTP over the message transport) --------
-
-util::Bytes make_get(const files::Digest16& md5) {
-  return text_bytes("GET /" + files::hex(md5) + " HTTP/1.1\r\n\r\n");
-}
-
-std::optional<files::Digest16> parse_get(util::ByteView wire) {
-  std::string_view text = as_view(wire);
-  if (!text.starts_with("GET /")) return std::nullopt;
-  std::size_t space = text.find(' ', 5);
-  if (space == std::string_view::npos) return std::nullopt;
-  auto bytes = util::from_hex(text.substr(5, space - 5));
-  files::Digest16 md5;
-  if (!bytes || bytes->size() != md5.size()) return std::nullopt;
-  std::copy(bytes->begin(), bytes->end(), md5.begin());
-  return md5;
-}
-
-util::Bytes make_response(int status, const util::Bytes* body) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) +
-                     (status == 200 ? " OK" : " Not Found") + "\r\nContent-Length: " +
-                     std::to_string(body ? body->size() : 0) + "\r\n\r\n";
-  util::Bytes out = text_bytes(head);
-  if (body) out.insert(out.end(), body->begin(), body->end());
-  return out;
-}
-
-struct ParsedResponse {
-  int status = 0;
-  util::Bytes body;
-};
-
-std::optional<ParsedResponse> parse_response(util::ByteView wire) {
-  std::string_view text = as_view(wire);
-  if (!text.starts_with("HTTP/1.1 ")) return std::nullopt;
-  std::size_t head_end = text.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) return std::nullopt;
-  ParsedResponse out;
-  auto status_str = text.substr(9, 3);
-  auto [p, ec] = std::from_chars(status_str.data(), status_str.data() + 3, out.status);
-  if (ec != std::errc{}) return std::nullopt;
-  out.body.assign(wire.begin() + static_cast<std::ptrdiff_t>(head_end + 4), wire.end());
-  return out;
-}
-
 util::Bytes make_push_delivery(const files::Digest16& md5, const util::Bytes& body) {
   std::string head =
       "PUSH " + files::hex(md5) + " " + std::to_string(body.size()) + "\r\n\r\n";
-  util::Bytes out = text_bytes(head);
+  util::Bytes out = files::text_bytes(head);
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
@@ -95,7 +45,7 @@ struct ParsedPush {
 };
 
 std::optional<ParsedPush> parse_push_delivery(util::ByteView wire) {
-  std::string_view text = as_view(wire);
+  std::string_view text = files::as_view(wire);
   if (!text.starts_with("PUSH ")) return std::nullopt;
   std::size_t head_end = text.find("\r\n\r\n");
   if (head_end == std::string_view::npos) return std::nullopt;
@@ -295,7 +245,7 @@ void FtNode::on_connection_open(sim::ConnId conn, sim::NodeId peer, bool initiat
         return;
       }
       pending->second.transfer_started = true;
-      network().send(conn, id(), make_get(pending->second.entry.md5));
+      network().send(conn, id(), files::make_get(pending->second.entry.md5));
       break;
     }
     case ConnKind::kBrowseOut:
@@ -369,7 +319,7 @@ void FtNode::on_message(sim::ConnId conn, const util::Payload& payload) {
 
   switch (state.kind) {
     case ConnKind::kUnknown: {
-      std::string_view text = as_view(payload);
+      std::string_view text = files::as_view(payload);
       if (text.starts_with("GET ")) {
         state.kind = ConnKind::kTransferIn;
         handle_transfer_message(conn, state, payload);
@@ -744,20 +694,21 @@ void FtNode::handle_push_request(sim::ConnId conn, const PushRequest& req) {
 
 void FtNode::handle_transfer_message(sim::ConnId conn, ConnState& state,
                                      util::ByteView wire) {
-  std::string_view text = as_view(wire);
+  std::string_view text = files::as_view(wire);
 
   if (text.starts_with("GET ")) {
-    auto md5 = parse_get(wire);
+    auto md5 = files::parse_get(wire);
     util::Bytes response;
     if (md5) {
       auto share = md5_to_share_.find(files::hex(*md5));
       if (share != md5_to_share_.end()) {
-        response = make_response(200, &shares_[share->second].content->bytes());
+        response =
+            files::make_response(200, &shares_[share->second].content->bytes());
         ++stats_.uploads_served;
         OpenFtMetrics::get().uploads_served.add(1);
       }
     }
-    if (response.empty()) response = make_response(404, nullptr);
+    if (response.empty()) response = files::make_response(404, nullptr);
     network().send(conn, id(), response);
     return;
   }
@@ -794,7 +745,7 @@ void FtNode::handle_transfer_message(sim::ConnId conn, ConnState& state,
     PendingDownload pending = std::move(pending_it->second);
     pending_downloads_.erase(pending_it);
 
-    auto resp = parse_response(wire);
+    auto resp = files::parse_response(wire);
     FtDownloadOutcome outcome;
     outcome.request_id = did;
     outcome.path = pending.entry.path;

@@ -4,7 +4,7 @@
 // go through these functions.
 #pragma once
 
-#include "crawler/limewire_crawler.h"  // CrawlStats
+#include "crawler/fetch.h"  // CrawlStats
 #include "crawler/records.h"
 #include "fault/fault.h"  // FaultCounters
 #include "obs/metrics.h"
