@@ -40,9 +40,11 @@ int main(int argc, char** argv) {
     if (obs_cli.parse(argc, argv, i, &obs_err)) {
       if (obs_err) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      base.duration = sim::SimDuration::days(std::atoi(argv[++i]));
+      int days = 0;
+      if (!examples::parse_uint(argv[++i], days)) return usage(argv[0]);
+      base.duration = sim::SimDuration::days(days);
     } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      base.users = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!examples::parse_uint(argv[++i], base.users)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--execute-prob") == 0 && i + 1 < argc) {
       base.behavior.execute_prob = std::atof(argv[++i]);
     } else {

@@ -42,9 +42,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       cfg = core::limewire_quick();
     } else if (std::strcmp(argv[i], "--top-strains") == 0 && i + 1 < argc) {
-      filter_cfg.top_strains = std::strtoull(argv[++i], nullptr, 10);
+      if (!examples::parse_uint(argv[++i], filter_cfg.top_strains)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--sizes-per-strain") == 0 && i + 1 < argc) {
-      filter_cfg.sizes_per_strain = std::strtoull(argv[++i], nullptr, 10);
+      if (!examples::parse_uint(argv[++i], filter_cfg.sizes_per_strain)) {
+        return usage(argv[0]);
+      }
     } else {
       return usage(argv[0]);
     }

@@ -5,256 +5,15 @@
 // and keyword query that reaches it — the E9/E10 coverage-vs-vantage-count
 // analysis is computed from those observation logs.
 //
-// --record captures the crawl (active client responses interleaved with the
-// honeypot observations) as a binary trace; --replay rebuilds the same
-// report — including the honeypot coverage block — from the trace without
-// simulating. The --json report is byte-identical between a recorded live
-// run and its replay.
+//   ./kad_study [--quick|--longhaul] [study flags — see examples/study_cli.h]
+//               [--honeypots <n>]
 //
-// --record-dir captures the same stream to a time-sharded segment directory
-// (one .p2pt segment per simulated day plus a MANIFEST), and --replay-dir
-// replays it out of core: segments fan out across --replay-jobs threads and
-// the partial reports merge deterministically, so the JSON is byte-identical
-// at any jobs count. --longhaul selects the ten-week capture preset.
-//
-//   ./kad_study [--quick|--longhaul] [--csv <path>] [--seed <n>]
-//               [--honeypots <n>] [--json <path>]
-//               [--record <trace>|--replay <trace>]
-//               [--record-dir <dir>|--replay-dir <dir>] [--replay-jobs <n>]
-//               [--windows <csv>] [--faults <preset|spec>] [--fault-seed <n>]
-//               [obs flags — see examples/obs_cli.h]
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <memory>
-#include <optional>
-
-#include "analysis/csv.h"
-#include "analysis/stats.h"
-#include "core/kad_study.h"
-#include "core/report.h"
-#include "core/study.h"
-#include "fault/fault.h"
-#include "obs_cli.h"
-#include "replay_dir.h"
-#include "trace/segment.h"
-#include "trace/writer.h"
-#include "util/strings.h"
-
-namespace {
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--quick|--longhaul] [--csv <path>] [--seed <n>] [--honeypots <n>]"
-               " [--json <path>] [--record <trace>|--replay <trace>]"
-               " [--record-dir <dir>|--replay-dir <dir>] [--replay-jobs <n>]"
-               " [--windows <csv>]"
-               " [--faults <none|mild|moderate|severe|k=v,...>]"
-               " [--fault-seed <n>] [--list-presets]"
-            << p2p::examples::ObsCli::kUsage << "\n";
-  return 2;
-}
-}  // namespace
+// A capture (--record, --record-dir) interleaves the active client's
+// responses with the honeypot observations, so a replay rebuilds the same
+// report — including the honeypot coverage block — without simulating.
+// --longhaul selects the ten-week capture preset.
+#include "study_cli.h"
 
 int main(int argc, char** argv) {
-  using namespace p2p;
-  auto cfg = core::kad_standard();
-  std::string preset = "standard";
-  std::string csv_path, json_path, record_path, replay_path;
-  std::string record_dir, replay_dir, windows_path;
-  std::size_t replay_jobs = 1;
-  std::string faults_spec;
-  std::uint64_t fault_seed = 0;
-  examples::ObsCli obs_cli;
-  for (int i = 1; i < argc; ++i) {
-    bool obs_err = false;
-    if (obs_cli.parse(argc, argv, i, &obs_err)) {
-      if (obs_err) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      cfg = core::kad_quick();
-      preset = "quick";
-    } else if (std::strcmp(argv[i], "--longhaul") == 0) {
-      cfg = core::kad_longhaul();
-      preset = "longhaul";
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      cfg.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--honeypots") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      cfg.honeypots = std::strtoull(argv[++i], &end, 10);
-      // Reject junk and wrapped negatives ("-3" parses as 2^64-3).
-      if (end == argv[i] || *end != '\0' || cfg.honeypots == 0 ||
-          cfg.honeypots > 256) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc) {
-      record_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      replay_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--record-dir") == 0 && i + 1 < argc) {
-      record_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay-dir") == 0 && i + 1 < argc) {
-      replay_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay-jobs") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      replay_jobs = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || replay_jobs == 0 ||
-          replay_jobs > 256) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--windows") == 0 && i + 1 < argc) {
-      windows_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      faults_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--list-presets") == 0) {
-      core::print_presets(std::cout);
-      return 0;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  cfg.timeseries = obs_cli.timeseries_config();
-  int capture_modes = (record_path.empty() ? 0 : 1) +
-                      (replay_path.empty() ? 0 : 1) +
-                      (record_dir.empty() ? 0 : 1) + (replay_dir.empty() ? 0 : 1);
-  if (capture_modes > 1) {
-    std::cerr << "--record, --replay, --record-dir and --replay-dir are "
-                 "mutually exclusive\n";
-    return 2;
-  }
-  if (!windows_path.empty() && replay_dir.empty()) {
-    std::cerr << "--windows requires --replay-dir\n";
-    return 2;
-  }
-  if (!replay_dir.empty() && !csv_path.empty()) {
-    std::cerr << "--csv is not supported with --replay-dir (the capture is "
-                 "never materialized); use trace cat on the directory\n";
-    return 2;
-  }
-  if (!faults_spec.empty()) {
-    auto parsed = fault::parse_spec(faults_spec);
-    if (!parsed) {
-      std::cerr << "bad --faults spec: " << faults_spec << "\n";
-      return usage(argv[0]);
-    }
-    core::apply_faults(cfg, *parsed, fault_seed);
-    if (cfg.faults.enabled()) {
-      std::cout << "Fault injection: " << fault::describe(cfg.faults) << "\n";
-    }
-  }
-
-  if (!obs_cli.activate()) return 2;
-  auto progress = obs_cli.make_progress();
-
-  if (!replay_dir.empty()) {
-    return examples::run_replay_dir(replay_dir, replay_jobs, "kad", json_path,
-                                    windows_path);
-  }
-
-  core::StudyResult result;
-  if (!replay_path.empty()) {
-    if (!core::load_study_trace(replay_path, result)) {
-      std::cerr << "cannot replay " << replay_path
-                << ": missing, corrupt, or incomplete trace\n";
-      return 1;
-    }
-    std::cout << "Replaying KAD study from " << replay_path << ": "
-              << util::format_count(result.records.size()) << " records\n";
-  } else {
-    std::cout << "Running KAD study: " << cfg.population.users << " users, "
-              << cfg.population.servers << " index servers, " << cfg.honeypots
-              << " honeypots, " << cfg.crawl.duration.count_ms() / 3'600'000
-              << " hours, seed " << cfg.seed << "\n";
-    std::optional<obs::ProgressReporter::Scope> progress_scope;
-    if (progress != nullptr) progress_scope.emplace(*progress);
-    const std::string& capture_path =
-        !record_dir.empty() ? record_dir : record_path;
-    std::unique_ptr<trace::StorageWriter> writer;
-    if (!capture_path.empty()) {
-      trace::TraceHeader header;
-      header.network = "kad";
-      header.config_hash = core::config_hash(cfg);
-      header.seed = cfg.seed;
-      header.crawl_duration_ms = cfg.crawl.duration.count_ms();
-      header.meta = {{"tool", "kad_study"}, {"preset", preset}};
-      if (!record_dir.empty()) {
-        writer = std::make_unique<trace::SegmentWriter>(record_dir, header);
-      } else {
-        writer = std::make_unique<trace::TraceWriter>(record_path, header);
-      }
-      if (!writer->ok()) {
-        std::cerr << "cannot write " << capture_path << "\n";
-        return 1;
-      }
-    }
-    result = core::run_kad_study(cfg, writer.get());
-    if (writer != nullptr) {
-      writer->write_summary(core::study_summary(result));
-      writer->close();
-      if (!writer->ok()) {
-        std::cerr << "failed writing trace " << capture_path << "\n";
-        return 1;
-      }
-      std::cout << "  recorded " << util::format_count(writer->records_written())
-                << " records (" << util::format_count(writer->blocks_written())
-                << " blocks, " << util::format_count(writer->bytes_written())
-                << " bytes";
-      if (writer->segments_written() > 1 || !record_dir.empty()) {
-        std::cout << ", " << util::format_count(writer->segments_written())
-                  << " segments";
-      }
-      std::cout << ") to " << capture_path << "\n";
-    }
-  }
-  std::cout << "  " << util::format_count(result.events_executed) << " events, "
-            << util::format_count(result.messages_delivered) << " messages, "
-            << util::format_count(result.records.size()) << " records\n\n";
-
-  auto report = core::build_report(result.records, "kad");
-  core::attach_fault_report(report, result.faults_enabled, result.fault_counters,
-                            result.crawl_stats);
-  core::attach_kad_coverage(report, result.records, result.metrics);
-  report.timeseries = result.timeseries;
-  core::print_prevalence(std::cout, "kad", report.prevalence);
-  core::print_strain_ranking(std::cout, "kad", report.strain_ranking);
-  core::print_sources(std::cout, "kad", report.sources, report.strain_sources);
-  core::print_honeypot_coverage(std::cout, "kad", report.honeypots);
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 1;
-    }
-    core::write_report_json(out, report);
-    std::cout << "wrote report JSON to " << json_path << "\n";
-  }
-  if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
-      std::cerr << "cannot write " << csv_path << "\n";
-      return 1;
-    }
-    analysis::write_csv(out, result.records);
-    std::cout << "wrote " << util::format_count(result.records.size())
-              << " records to " << csv_path << "\n";
-  }
-  if (!obs_cli.metrics_path.empty()) {
-    std::ofstream out(obs_cli.metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << obs_cli.metrics_path << "\n";
-      return 1;
-    }
-    obs::write_json(out, result.metrics);
-    core::print_metrics(std::cout, "kad", result.metrics);
-    std::cout << "wrote metrics snapshot to " << obs_cli.metrics_path << "\n";
-  }
-  if (!obs_cli.write_timeseries(result.timeseries)) return 1;
-  if (!obs_cli.write_profile()) return 1;
-  if (!obs_cli.write_trace()) return 1;
-  return 0;
+  return p2p::examples::run_study_cli(argc, argv, p2p::examples::kad_cli());
 }

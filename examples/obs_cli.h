@@ -21,10 +21,13 @@
 // a run records (and its config_hash), never its behavior.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -35,6 +38,21 @@
 #include "util/sim_time.h"
 
 namespace p2p::examples {
+
+/// Parse a whole unsigned decimal in [lo, hi] into `out`: digits only (no
+/// sign, whitespace or trailing characters) and no overflow. Every numeric
+/// flag of the example CLIs goes through here, so `--seed abc`, `--seed -1`
+/// or `--seed 7x` is a usage error instead of a silent seed 0, 2^64-1 or 7.
+template <typename T>
+[[nodiscard]] bool parse_uint(const char* text, T& out, std::uint64_t lo = 0,
+                              std::uint64_t hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) return false;
+  out = static_cast<T>(value);
+  return true;
+}
 
 /// Parse a sim-duration spec: integer + optional unit suffix (ms, s, m, h,
 /// d); a bare integer means milliseconds. Returns false on anything else.

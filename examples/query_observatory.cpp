@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
     if (obs_cli.parse(argc, argv, i, &obs_err)) {
       if (obs_err) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--hours") == 0 && i + 1 < argc) {
-      hours = std::atoi(argv[++i]);
+      if (!examples::parse_uint(argv[++i], hours)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--leaves") == 0 && i + 1 < argc) {
-      leaves = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!examples::parse_uint(argv[++i], leaves)) return usage(argv[0]);
     } else {
       return usage(argv[0]);
     }

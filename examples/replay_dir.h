@@ -1,5 +1,5 @@
-// Shared --replay-dir driver for the study CLIs (limewire/openft/kad):
-// out-of-core map-reduce replay of a segment directory via
+// Shared --replay-dir driver for the study CLIs (limewire/openft/kad) and
+// `trace replay`: out-of-core map-reduce replay of a segment directory via
 // core::replay_segment_dir, printing the study's standard sections and
 // writing the report JSON / windowed CSV. The JSON is byte-identical to the
 // recording run's --json at any --replay-jobs count.
@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/windowed.h"
 #include "core/replay.h"
@@ -17,6 +18,46 @@
 #include "util/strings.h"
 
 namespace p2p::examples {
+
+/// The printable sections of a study report.
+enum class Section { kPrevalence, kStrains, kSources, kSizes, kDaily, kFilters, kHoneypots };
+
+/// What a replay prints: every section a capture can fill (the honeypot
+/// coverage prints nothing outside KAD).
+inline const std::vector<Section> kReplaySections = {
+    Section::kPrevalence, Section::kStrains, Section::kSources,
+    Section::kFilters, Section::kHoneypots};
+
+inline void print_sections(std::ostream& out, const core::Report& report,
+                           const std::vector<Section>& sections) {
+  const std::string& net = report.network;
+  for (Section s : sections) {
+    switch (s) {
+      case Section::kPrevalence:
+        core::print_prevalence(out, net, report.prevalence);
+        break;
+      case Section::kStrains:
+        core::print_strain_ranking(out, net, report.strain_ranking);
+        break;
+      case Section::kSources:
+        core::print_sources(out, net, report.sources, report.strain_sources);
+        break;
+      case Section::kSizes:
+        core::print_size_analysis(out, net, report.size_buckets,
+                                  report.sizes_per_strain);
+        break;
+      case Section::kDaily:
+        core::print_daily_series(out, net, report.days);
+        break;
+      case Section::kFilters:
+        core::print_filter_comparison(out, net, report.filter_evals);
+        break;
+      case Section::kHoneypots:
+        core::print_honeypot_coverage(out, net, report.honeypots);
+        break;
+    }
+  }
+}
 
 inline int run_replay_dir(const std::string& dir, std::size_t jobs,
                           const std::string& expect_network,
@@ -59,12 +100,7 @@ inline int run_replay_dir(const std::string& dir, std::size_t jobs,
   }
   std::cout << "\n";
 
-  core::print_prevalence(std::cout, report.network, report.prevalence);
-  core::print_strain_ranking(std::cout, report.network, report.strain_ranking);
-  core::print_sources(std::cout, report.network, report.sources,
-                      report.strain_sources);
-  core::print_filter_comparison(std::cout, report.network, report.filter_evals);
-  core::print_honeypot_coverage(std::cout, report.network, report.honeypots);
+  print_sections(std::cout, report, kReplaySections);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);

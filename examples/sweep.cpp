@@ -43,20 +43,17 @@ int usage(const char* argv0) {
 
 // "2006..2013" → inclusive range; "8" → count of derived seeds.
 bool parse_seeds(const std::string& spec, p2p::sweep::PlanConfig& plan) {
+  using p2p::examples::parse_uint;
   auto dots = spec.find("..");
-  char* end = nullptr;
   if (dots == std::string::npos) {
-    unsigned long long n = std::strtoull(spec.c_str(), &end, 10);
-    if (end == spec.c_str() || *end != '\0' || n == 0) return false;
-    plan.replications = static_cast<std::size_t>(n);
-    return true;
+    return parse_uint(spec.c_str(), plan.replications, 1);
   }
-  unsigned long long lo = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() + dots) return false;
-  const char* hi_str = spec.c_str() + dots + 2;
-  unsigned long long hi = std::strtoull(hi_str, &end, 10);
-  if (end == hi_str || *end != '\0' || hi < lo) return false;
-  for (unsigned long long s = lo; s <= hi; ++s) plan.seeds.push_back(s);
+  std::uint64_t lo = 0, hi = 0;
+  if (!parse_uint(spec.substr(0, dots).c_str(), lo) ||
+      !parse_uint(spec.c_str() + dots + 2, hi, lo)) {
+    return false;
+  }
+  for (std::uint64_t s = lo; s <= hi; ++s) plan.seeds.push_back(s);
   return true;
 }
 
@@ -94,15 +91,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--base-seed") == 0 && i + 1 < argc) {
-      plan.base_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!examples::parse_uint(argv[++i], plan.base_seed)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      plan.duration = sim::SimDuration::days(
-          static_cast<std::int64_t>(std::strtoull(argv[++i], nullptr, 10)));
+      std::int64_t days = 0;
+      if (!examples::parse_uint(argv[++i], days)) return usage(argv[0]);
+      plan.duration = sim::SimDuration::days(days);
     } else if (std::strcmp(argv[i], "--hours") == 0 && i + 1 < argc) {
-      plan.duration = sim::SimDuration::hours(
-          static_cast<std::int64_t>(std::strtoull(argv[++i], nullptr, 10)));
+      std::int64_t hours = 0;
+      if (!examples::parse_uint(argv[++i], hours)) return usage(argv[0]);
+      plan.duration = sim::SimDuration::hours(hours);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!examples::parse_uint(argv[++i], options.jobs)) return usage(argv[0]);
       if (options.jobs == 0) options.jobs = 1;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -118,14 +117,9 @@ int main(int argc, char** argv) {
       }
       plan.faults = *parsed;
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      plan.fault_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!examples::parse_uint(argv[++i], plan.fault_seed)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      plan.shards =
-          static_cast<std::size_t>(std::strtoull(argv[++i], &end, 10));
-      // Reject junk and wrapped negatives ("-3" parses as 2^64-3).
-      if (end == argv[i] || *end != '\0' || plan.shards == 0 ||
-          plan.shards > 4096) {
+      if (!examples::parse_uint(argv[++i], plan.shards, 1, 4096)) {
         return usage(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--list-presets") == 0) {

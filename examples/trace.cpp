@@ -16,6 +16,7 @@
 //   ./trace inspect <file|dir>
 //   ./trace replay <file|dir> [--json <path>] [--jobs <n>] [--windows <csv>]
 //   ./trace cat <file|dir> [--csv <path>]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,15 +27,13 @@
 #include <string>
 
 #include "analysis/csv.h"
-#include "core/kad_study.h"
 #include "core/report.h"
-#include "core/study.h"
 #include "obs/metrics.h"
 #include "obs_cli.h"
 #include "replay_dir.h"
+#include "study_cli.h"
 #include "trace/reader.h"
 #include "trace/storage.h"
-#include "trace/writer.h"
 #include "util/strings.h"
 
 namespace {
@@ -54,50 +53,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
-int cmd_record(int argc, char** argv, const char* argv0,
-               examples::ObsCli& obs_cli) {
-  std::string network = "limewire", file;
-  bool quick = false, longhaul = false;
-  std::uint64_t seed = 0;
-  bool seed_set = false;
-  trace::StorageOptions storage;
-  for (int i = 0; i < argc; ++i) {
-    bool obs_err = false;
-    if (obs_cli.parse(argc, argv, i, &obs_err)) {
-      if (obs_err) return usage(argv0);
-    } else if (std::strcmp(argv[i], "--network") == 0 && i + 1 < argc) {
-      network = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--longhaul") == 0) {
-      longhaul = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-      seed_set = true;
-    } else if (std::strcmp(argv[i], "--segment-hours") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      std::uint64_t hours = std::strtoull(argv[++i], &end, 10);
-      // Reject junk and wrapped negatives ("-3" parses as 2^64-3).
-      if (end == argv[i] || *end != '\0' || hours == 0 || hours > 24 * 365) {
-        return usage(argv0);
-      }
-      storage.segment_window_ms = static_cast<std::int64_t>(hours) * 3'600'000ll;
-    } else if (argv[i][0] != '-' && file.empty()) {
-      file = argv[i];
-    } else {
-      return usage(argv0);
-    }
-  }
-  if (file.empty() ||
-      (network != "limewire" && network != "openft" && network != "kad")) {
-    return usage(argv0);
-  }
-  if (quick && longhaul) {
-    std::cerr << "--quick and --longhaul are mutually exclusive\n";
-    return 2;
-  }
-  if (longhaul && network != "kad") {
-    std::cerr << "--longhaul is a kad preset (ten-week honeypot capture)\n";
+// Record one preset study of the network `cli` describes into `file`; the
+// backend (single file vs segment directory) is picked from the path shape.
+template <typename Config>
+int record_study(const examples::StudyCli<Config>& cli, const char* preset,
+                 std::optional<std::uint64_t> seed, const std::string& file,
+                 const trace::StorageOptions& storage,
+                 const examples::ObsCli& obs_cli) {
+  auto p = std::find_if(cli.presets.begin(), cli.presets.end(),
+                        [&](const auto& p) { return std::strcmp(p.name, preset) == 0; });
+  if (p == cli.presets.end()) {
+    std::cerr << "--" << preset << " is not a " << cli.network << " preset\n";
     return 2;
   }
   if (!obs_cli.activate()) return 2;
@@ -105,50 +71,17 @@ int cmd_record(int argc, char** argv, const char* argv0,
   std::optional<obs::ProgressReporter::Scope> progress_scope;
   if (progress != nullptr) progress_scope.emplace(*progress);
 
-  trace::TraceHeader header;
-  header.network = network;
-  header.meta = {
-      {"tool", "trace record"},
-      {"preset", longhaul ? "longhaul" : (quick ? "quick" : "standard")}};
-  std::unique_ptr<trace::StorageWriter> writer;
-  // Stamp the config-derived header fields and open the store; the backend
-  // (single file vs segment directory) is picked from the path shape.
-  auto open_writer = [&](auto& cfg) {
-    if (seed_set) cfg.seed = seed;
-    cfg.timeseries = obs_cli.timeseries_config();
-    header.config_hash = core::config_hash(cfg);
-    header.seed = cfg.seed;
-    header.crawl_duration_ms = cfg.crawl.duration.count_ms();
-    writer = trace::open_storage_writer(file, header, storage);
-    return writer->ok();
-  };
-  core::StudyResult result;
-  if (network == "limewire") {
-    auto cfg = quick ? core::limewire_quick() : core::limewire_standard();
-    if (!open_writer(cfg)) {
-      std::cerr << "cannot write " << file << "\n";
-      return 1;
-    }
-    result = core::run_limewire_study(cfg, writer.get());
-  } else if (network == "openft") {
-    auto cfg = quick ? core::openft_quick() : core::openft_standard();
-    if (!open_writer(cfg)) {
-      std::cerr << "cannot write " << file << "\n";
-      return 1;
-    }
-    result = core::run_openft_study(cfg, writer.get());
-  } else {
-    auto cfg = longhaul ? core::kad_longhaul()
-                        : (quick ? core::kad_quick() : core::kad_standard());
-    if (!open_writer(cfg)) {
-      std::cerr << "cannot write " << file << "\n";
-      return 1;
-    }
-    result = core::run_kad_study(cfg, writer.get());
-  }
-  writer->write_summary(core::study_summary(result));
-  writer->close();
+  Config cfg = p->make();
+  if (seed) cfg.seed = *seed;
+  cfg.timeseries = obs_cli.timeseries_config();
+  auto writer = trace::open_storage_writer(
+      file, examples::capture_header(cli, cfg, "trace record", preset), storage);
   if (!writer->ok()) {
+    std::cerr << "cannot write " << file << "\n";
+    return 1;
+  }
+  core::StudyResult result;
+  if (!examples::run_captured(cli, cfg, writer.get(), result)) {
     std::cerr << "failed writing " << file << "\n";
     return 1;
   }
@@ -162,6 +95,53 @@ int cmd_record(int argc, char** argv, const char* argv0,
   std::cout << ") to " << file << "\n";
   if (!obs_cli.write_timeseries(result.timeseries)) return 1;
   return 0;
+}
+
+int cmd_record(int argc, char** argv, const char* argv0,
+               examples::ObsCli& obs_cli) {
+  std::string network = "limewire", file;
+  bool quick = false, longhaul = false;
+  std::optional<std::uint64_t> seed;
+  trace::StorageOptions storage;
+  for (int i = 0; i < argc; ++i) {
+    bool obs_err = false;
+    std::uint64_t n = 0;
+    if (obs_cli.parse(argc, argv, i, &obs_err)) {
+      if (obs_err) return usage(argv0);
+    } else if (std::strcmp(argv[i], "--network") == 0 && i + 1 < argc) {
+      network = argv[++i];
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--longhaul") == 0) {
+      longhaul = true;
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+      if (!examples::parse_uint(argv[++i], n)) return usage(argv0);
+      seed = n;
+    } else if (std::strcmp(argv[i], "--segment-hours") == 0 && i + 1 < argc) {
+      if (!examples::parse_uint(argv[++i], n, 1, 24 * 365)) return usage(argv0);
+      storage.segment_window_ms = static_cast<std::int64_t>(n) * 3'600'000ll;
+    } else if (argv[i][0] != '-' && file.empty()) {
+      file = argv[i];
+    } else {
+      return usage(argv0);
+    }
+  }
+  if (file.empty()) return usage(argv0);
+  if (quick && longhaul) {
+    std::cerr << "--quick and --longhaul are mutually exclusive\n";
+    return 2;
+  }
+  const char* preset = longhaul ? "longhaul" : (quick ? "quick" : "standard");
+  if (network == "limewire") {
+    return record_study(examples::limewire_cli(), preset, seed, file, storage, obs_cli);
+  }
+  if (network == "openft") {
+    return record_study(examples::openft_cli(), preset, seed, file, storage, obs_cli);
+  }
+  if (network == "kad") {
+    return record_study(examples::kad_cli(), preset, seed, file, storage, obs_cli);
+  }
+  return usage(argv0);
 }
 
 void print_header(const trace::TraceHeader& h) {
@@ -267,12 +247,7 @@ int cmd_replay(const std::string& file, const std::string& json_path,
     core::attach_kad_coverage(report, data.records, data.summary->metrics);
     report.timeseries = data.summary->timeseries;
   }
-  core::print_prevalence(std::cout, report.network, report.prevalence);
-  core::print_strain_ranking(std::cout, report.network, report.strain_ranking);
-  core::print_sources(std::cout, report.network, report.sources,
-                      report.strain_sources);
-  core::print_filter_comparison(std::cout, report.network, report.filter_evals);
-  core::print_honeypot_coverage(std::cout, report.network, report.honeypots);
+  examples::print_sections(std::cout, report, examples::kReplaySections);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);
@@ -390,11 +365,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
       csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      jobs = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || jobs == 0 || jobs > 256) {
-        return usage(argv[0]);
-      }
+      if (!examples::parse_uint(argv[++i], jobs, 1, 256)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--windows") == 0 && i + 1 < argc) {
       windows_path = argv[++i];
     } else if (argv[i][0] != '-' && file.empty()) {

@@ -1,25 +1,20 @@
 #include "core/kad_study.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "core/study_internal.h"
-#include "crawler/workload.h"
-#include "fault/chaos.h"
-#include "malware/scanner.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 
 namespace p2p::core {
 
 namespace {
 using internal::ConfigHasher;
-using internal::ProgressCounters;
 using internal::hash_churn;
 using internal::hash_corpus;
 using internal::hash_crawl;
 using internal::hash_faults;
 using internal::hash_timeseries;
-using internal::run_study_loop;
 
 void hash_kad(ConfigHasher& h, const kad::KadConfig& c) {
   h.str(c.alias);
@@ -71,14 +66,6 @@ KadStudyConfig kad_longhaul() {
   return cfg;
 }
 
-void apply_faults(KadStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed) {
-  if (!spec.enabled()) return;
-  config.faults = spec;
-  config.fault_seed = fault_seed;
-  config.crawl.fetch = crawler::resilient_fetch_policy();
-}
-
 std::uint64_t config_hash(const KadStudyConfig& config) {
   ConfigHasher h;
   h.str("kad");
@@ -111,91 +98,42 @@ std::uint64_t config_hash(const KadStudyConfig& config) {
 
 StudyResult run_kad_study(const KadStudyConfig& config,
                           crawler::RecordSink* record_sink) {
-  obs::MetricsRegistry::global().reset();
-  sim::Network net(config.seed);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config.faults.enabled()) {
-    std::uint64_t fault_seed =
-        config.fault_seed != 0 ? config.fault_seed : config.seed;
-    injector = std::make_unique<fault::FaultInjector>(config.faults, fault_seed);
-    net.set_fault_hook(injector.get());
-  }
-  auto pop = [&] {
-    OBS_SPAN("study.setup");
-    return agents::build_kad_population(net, config.population);
-  }();
-  auto scanner = std::make_shared<malware::Scanner>(pop.strain_catalog.strains);
-  auto workload = crawler::QueryWorkload::popular_from_catalog(
-      *pop.catalog, config.workload_top_n, pop.lure_queries);
+  return internal::run_study<crawler::KadCrawler>(
+      config, "kad", /*shards=*/1, 0x6adu, record_sink,
+      [&](sim::Network& net) {
+        return agents::build_kad_population(net, config.population);
+      },
+      [&](auto& setup) {
+        auto& pop = setup.pop;
+        // Ground-truth denominators for the coverage analysis: how many
+        // infected users exist, and how many vantages watched for them.
+        // Persisted in the metrics snapshot, so a replayed trace reproduces
+        // the same coverage.
+        auto& registry = obs::MetricsRegistry::global();
+        registry.counter("kad.population.infected_users")
+            .add(static_cast<std::uint64_t>(pop.infected_hosts.size()));
+        registry.counter("kad.honeypot.vantages")
+            .add(static_cast<std::uint64_t>(config.honeypots));
 
-  // Ground-truth denominators for the coverage analysis: how many infected
-  // users exist, and how many vantages watched for them. Persisted in the
-  // metrics snapshot, so a replayed trace reproduces the same coverage.
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("kad.population.infected_users")
-      .add(static_cast<std::uint64_t>(pop.infected_hosts.size()));
-  registry.counter("kad.honeypot.vantages")
-      .add(static_cast<std::uint64_t>(config.honeypots));
+        // Honeypot bait: the most popular catalog titles — the same head of
+        // the popularity curve the poisoners target.
+        crawler::KadHoneypotConfig honeypots;
+        honeypots.vantages = config.honeypots;
+        honeypots.malicious_digests = pop.malicious_digests;
+        std::size_t bait_count = std::min(config.honeypot_bait, pop.catalog->size());
+        for (std::size_t rank = 0; rank < bait_count; ++rank) {
+          auto content = pop.catalog->content(rank);
+          honeypots.bait.push_back(
+              kad::KadShare{content, "/shared/" + content->name()});
+        }
 
-  // Honeypot bait: the most popular catalog titles — the same head of the
-  // popularity curve the poisoners target.
-  crawler::KadHoneypotConfig honeypots;
-  honeypots.vantages = config.honeypots;
-  honeypots.malicious_digests = pop.malicious_digests;
-  std::size_t bait_count = std::min(config.honeypot_bait, pop.catalog->size());
-  for (std::size_t rank = 0; rank < bait_count; ++rank) {
-    auto content = pop.catalog->content(rank);
-    honeypots.bait.push_back(kad::KadShare{content, "/shared/" + content->name()});
-  }
-
-  crawler::CrawlConfig crawl_cfg = config.crawl;
-  crawl_cfg.seed = config.seed ^ 0x6ad4u;
-  crawler::KadCrawler crawl(net, pop.host_cache, pop.server_cache,
-                            std::move(workload), scanner, crawl_cfg,
-                            std::move(honeypots));
-  if (record_sink != nullptr) crawl.set_record_sink(record_sink);
-  if (injector) crawl.set_fault_injector(injector.get());
-
-  agents::ChurnConfig churn_cfg = config.churn;
-  churn_cfg.seed = config.seed ^ 0x6adu;
-  agents::ChurnDriver churn(net, std::move(pop.user_specs), churn_cfg);
-  churn.start();
-  crawl.start();
-  std::unique_ptr<fault::CrashDriver> crash_driver;
-  if (injector) {
-    crash_driver = std::make_unique<fault::CrashDriver>(net, churn, *injector);
-    crash_driver->start(internal::study_end(config.crawl));
-  }
-
-  obs::TimeSeries series = run_study_loop(
-      net, config.crawl, config.timeseries, "kad", [&crawl] {
-        ProgressCounters c;
-        const auto& s = crawl.stats();
-        c.responses = s.responses;
-        c.degraded =
-            s.downloads_failed + s.downloads_abandoned + s.scan_timeouts;
-        return c;
+        crawler::CrawlConfig crawl_cfg = config.crawl;
+        crawl_cfg.seed = config.seed ^ 0x6ad4u;
+        setup.crawlers.push_back(std::make_unique<crawler::KadCrawler>(
+            setup.net, pop.host_cache, pop.server_cache, std::move(setup.workload),
+            setup.scanner, crawl_cfg, std::move(honeypots)));
+        return std::move(pop.user_specs);
       });
-
-  OBS_SPAN("study.finalize");
-  crawl.finalize();
-
-  StudyResult result;
-  result.timeseries = std::move(series);
-  result.records = crawl.take_records();
-  result.crawl_stats = crawl.stats();
-  result.strain_catalog = pop.strain_catalog;
-  result.events_executed = net.engine().executed();
-  result.messages_delivered = net.messages_delivered();
-  result.bytes_delivered = net.bytes_delivered();
-  result.churn_joins = churn.joins();
-  result.churn_leaves = churn.leaves();
-  if (injector) {
-    result.faults_enabled = true;
-    result.fault_counters = injector->counters();
-  }
-  result.metrics = obs::MetricsRegistry::global().snapshot();
-  return result;
 }
 
 }  // namespace p2p::core

@@ -33,9 +33,6 @@ struct KadStudyConfig {
   obs::TimeSeriesConfig timeseries{};
 };
 
-void apply_faults(KadStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed = 0);
-
 [[nodiscard]] KadStudyConfig kad_standard();
 [[nodiscard]] KadStudyConfig kad_quick();
 /// Long-horizon capture preset: a small population crawled for ten-plus

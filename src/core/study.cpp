@@ -1,20 +1,12 @@
 #include "core/study.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
-
-#include "util/rng.h"
+#include <stdexcept>
 
 #include "core/shard_study.h"
 #include "core/study_internal.h"
-#include "crawler/workload.h"
-#include "fault/chaos.h"
-#include "malware/scanner.h"
 #include "obs/profile.h"
-#include "obs/progress.h"
-#include "obs/timeseries.h"
-#include "sim/network.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
 
@@ -74,32 +66,14 @@ OpenFtStudyConfig openft_quick() {
   return cfg;
 }
 
-void apply_faults(LimewireStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed) {
-  if (!spec.enabled()) return;
-  config.faults = spec;
-  config.fault_seed = fault_seed;
-  config.crawl.fetch = crawler::resilient_fetch_policy();
-}
-
-void apply_faults(OpenFtStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed) {
-  if (!spec.enabled()) return;
-  config.faults = spec;
-  config.fault_seed = fault_seed;
-  config.crawl.fetch = crawler::resilient_fetch_policy();
-}
-
 namespace {
 using internal::ConfigHasher;
-using internal::ProgressCounters;
 using internal::hash_churn;
 using internal::hash_corpus;
 using internal::hash_crawl;
 using internal::hash_faults;
 using internal::hash_sharded;
 using internal::hash_timeseries;
-using internal::run_study_loop;
 
 void hash_servent(ConfigHasher& h, const gnutella::ServentConfig& c) {
   h.u64(c.ultrapeer ? 1 : 0);
@@ -196,131 +170,38 @@ std::uint64_t config_hash(const OpenFtStudyConfig& config) {
   return h.digest();
 }
 
-namespace {
-
-/// Executor partition for the full-fidelity studies: spawned shard workers
-/// record into the study's registry via a thread-scoped guard.
-sim::ShardingConfig study_sharding(std::size_t shards) {
-  sim::ShardingConfig sharding;
-  sharding.shards = shards;
-  sharding.worker_context = [&reg = obs::MetricsRegistry::global()] {
-    return std::static_pointer_cast<void>(
-        std::make_shared<obs::ScopedMetricsRegistry>(reg));
-  };
-  return sharding;
-}
-
-}  // namespace
-
 StudyResult run_limewire_study(const LimewireStudyConfig& config,
                                crawler::RecordSink* record_sink) {
   if (config.shards > 0 && config.soa_capacity) {
     return run_limewire_study_sharded(config, record_sink);
   }
-  // Each run owns the registry window: reset here, snapshot at the end.
-  obs::MetricsRegistry::global().reset();
-  sim::Network net(config.seed, study_sharding(config.shards));
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config.faults.enabled()) {
-    std::uint64_t fault_seed =
-        config.fault_seed != 0 ? config.fault_seed : config.seed;
-    injector = std::make_unique<fault::FaultInjector>(config.faults, fault_seed);
-    net.set_fault_hook(injector.get());
-  }
-  auto pop = [&] {
-    OBS_SPAN("study.setup");
-    return agents::build_gnutella_population(net, config.population);
-  }();
-  auto scanner = std::make_shared<malware::Scanner>(pop.strain_catalog.strains);
-  auto workload = crawler::QueryWorkload::popular_from_catalog(
-      *pop.catalog, config.workload_top_n, pop.lure_queries);
-
-  // One or more instrumented clients on distinct vantage addresses.
-  std::size_t vantage_count = std::max<std::size_t>(1, config.crawler_count);
-  if (vantage_count > 1 && injector) {
-    // The injector's crawler-side fault stream (stalls, scan timeouts) is a
-    // single rng; two crawler entities on different shards would race it.
-    // Multi-vantage runs are fine fault-free.
-    throw std::invalid_argument(
-        "run_limewire_study: crawler_count > 1 cannot be combined with "
-        "faults");
-  }
-  std::vector<std::unique_ptr<crawler::LimewireCrawler>> crawlers;
-  for (std::size_t v = 0; v < vantage_count; ++v) {
-    crawler::CrawlConfig crawl_cfg = config.crawl;
-    crawl_cfg.seed = config.seed ^ (0xc4a31u + v * 0x9e37u);
-    crawl_cfg.vantage_ip = util::Ipv4(156, 56, 1, static_cast<std::uint8_t>(10 + v));
-    crawlers.push_back(std::make_unique<crawler::LimewireCrawler>(
-        net, pop.host_cache, workload, scanner, crawl_cfg));
-    if (injector) crawlers.back()->set_fault_injector(injector.get());
-  }
-
-  // With a single vantage the crawler's finalize() streams records into the
-  // sink in the exact order they land in result.records; the merged
-  // multi-vantage stream is re-sorted below, so it is streamed after the
-  // merge instead.
-  if (record_sink != nullptr && vantage_count == 1) {
-    crawlers[0]->set_record_sink(record_sink);
-  }
-
-  agents::ChurnConfig churn_cfg = config.churn;
-  churn_cfg.seed = config.seed ^ 0xc4u;
-  agents::ChurnDriver churn(net, std::move(pop.leaf_specs), churn_cfg);
-  churn.start();
-  for (auto& c : crawlers) c->start();
-  std::unique_ptr<fault::CrashDriver> crash_driver;
-  if (injector) {
-    crash_driver = std::make_unique<fault::CrashDriver>(net, churn, *injector);
-    crash_driver->start(internal::study_end(config.crawl));
-  }
-
-  obs::TimeSeries series = run_study_loop(
-      net, config.crawl, config.timeseries, "limewire", [&crawlers] {
-        ProgressCounters c;
-        for (const auto& cr : crawlers) {
-          const auto& s = cr->stats();
-          c.responses += s.responses;
-          c.degraded +=
-              s.downloads_failed + s.downloads_abandoned + s.scan_timeouts;
+  return internal::run_study<crawler::LimewireCrawler>(
+      config, "limewire", config.shards, 0xc4u, record_sink,
+      [&](sim::Network& net) {
+        return agents::build_gnutella_population(net, config.population);
+      },
+      [&](auto& setup) {
+        // One or more instrumented clients on distinct vantage addresses.
+        std::size_t vantage_count = std::max<std::size_t>(1, config.crawler_count);
+        if (vantage_count > 1 && setup.injector != nullptr) {
+          // The injector's crawler-side fault stream (stalls, scan timeouts)
+          // is a single rng; two crawler entities on different shards would
+          // race it. Multi-vantage runs are fine fault-free.
+          throw std::invalid_argument(
+              "run_limewire_study: crawler_count > 1 cannot be combined with "
+              "faults");
         }
-        return c;
+        for (std::size_t v = 0; v < vantage_count; ++v) {
+          crawler::CrawlConfig crawl_cfg = config.crawl;
+          crawl_cfg.seed = config.seed ^ (0xc4a31u + v * 0x9e37u);
+          crawl_cfg.vantage_ip =
+              util::Ipv4(156, 56, 1, static_cast<std::uint8_t>(10 + v));
+          setup.crawlers.push_back(std::make_unique<crawler::LimewireCrawler>(
+              setup.net, setup.pop.host_cache, setup.workload, setup.scanner,
+              crawl_cfg));
+        }
+        return std::move(setup.pop.leaf_specs);
       });
-
-  OBS_SPAN("study.finalize");
-  StudyResult result;
-  result.timeseries = std::move(series);
-  for (auto& c : crawlers) {
-    c->finalize();
-    auto records = c->take_records();
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(records.begin()),
-                          std::make_move_iterator(records.end()));
-    result.crawl_stats += c->stats();
-  }
-  if (vantage_count > 1) {
-    // Merge the vantage logs into one time-ordered stream with fresh ids.
-    std::stable_sort(result.records.begin(), result.records.end(),
-                     [](const crawler::ResponseRecord& a,
-                        const crawler::ResponseRecord& b) { return a.at < b.at; });
-    for (std::size_t i = 0; i < result.records.size(); ++i) {
-      result.records[i].id = i + 1;
-    }
-    if (record_sink != nullptr) {
-      for (const auto& rec : result.records) record_sink->on_record(rec);
-    }
-  }
-  result.strain_catalog = pop.strain_catalog;
-  result.events_executed = net.engine().executed();
-  result.messages_delivered = net.messages_delivered();
-  result.bytes_delivered = net.bytes_delivered();
-  result.churn_joins = churn.joins();
-  result.churn_leaves = churn.leaves();
-  if (injector) {
-    result.faults_enabled = true;
-    result.fault_counters = injector->counters();
-  }
-  result.metrics = obs::MetricsRegistry::global().snapshot();
-  return result;
 }
 
 StudyResult run_openft_study(const OpenFtStudyConfig& config,
@@ -328,83 +209,33 @@ StudyResult run_openft_study(const OpenFtStudyConfig& config,
   if (config.shards > 0 && config.soa_capacity) {
     return run_openft_study_sharded(config, record_sink);
   }
-  obs::MetricsRegistry::global().reset();
-  sim::Network net(config.seed, study_sharding(config.shards));
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config.faults.enabled()) {
-    std::uint64_t fault_seed =
-        config.fault_seed != 0 ? config.fault_seed : config.seed;
-    injector = std::make_unique<fault::FaultInjector>(config.faults, fault_seed);
-    net.set_fault_hook(injector.get());
-  }
-  auto pop = [&] {
-    OBS_SPAN("study.setup");
-    return agents::build_openft_population(net, config.population);
-  }();
-  auto scanner = std::make_shared<malware::Scanner>(pop.strain_catalog.strains);
-  auto workload = crawler::QueryWorkload::popular_from_catalog(
-      *pop.catalog, config.workload_top_n, pop.lure_queries);
-
-  crawler::CrawlConfig crawl_cfg = config.crawl;
-  crawl_cfg.seed = config.seed ^ 0x0f7c4u;
-  crawler::OpenFtCrawler crawl(net, pop.host_cache, std::move(workload), scanner,
-                               crawl_cfg);
-  if (record_sink != nullptr) crawl.set_record_sink(record_sink);
-  if (injector) crawl.set_fault_injector(injector.get());
-
-  // The super-spreader is a dedicated malicious server: permanently online,
-  // outside the churn process (this is what makes the paper's "67% of
-  // malicious responses from a single host" stable over a month).
-  std::vector<agents::PeerSpec> churnable;
-  churnable.reserve(pop.user_specs.size());
-  for (std::size_t i = 0; i < pop.user_specs.size(); ++i) {
-    if (i == pop.superspreader_index) {
-      net.add_node(pop.user_specs[i].make(), pop.user_specs[i].profile);
-    } else {
-      churnable.push_back(pop.user_specs[i]);
-    }
-  }
-
-  agents::ChurnConfig churn_cfg = config.churn;
-  churn_cfg.seed = config.seed ^ 0x0f7u;
-  agents::ChurnDriver churn(net, std::move(churnable), churn_cfg);
-  churn.start();
-  crawl.start();
-  std::unique_ptr<fault::CrashDriver> crash_driver;
-  if (injector) {
-    crash_driver = std::make_unique<fault::CrashDriver>(net, churn, *injector);
-    crash_driver->start(internal::study_end(config.crawl));
-  }
-
-  obs::TimeSeries series = run_study_loop(
-      net, config.crawl, config.timeseries, "openft", [&crawl] {
-        ProgressCounters c;
-        const auto& s = crawl.stats();
-        c.responses = s.responses;
-        c.degraded =
-            s.downloads_failed + s.downloads_abandoned + s.scan_timeouts;
-        return c;
+  return internal::run_study<crawler::OpenFtCrawler>(
+      config, "openft", config.shards, 0x0f7u, record_sink,
+      [&](sim::Network& net) {
+        return agents::build_openft_population(net, config.population);
+      },
+      [&](auto& setup) {
+        crawler::CrawlConfig crawl_cfg = config.crawl;
+        crawl_cfg.seed = config.seed ^ 0x0f7c4u;
+        setup.crawlers.push_back(std::make_unique<crawler::OpenFtCrawler>(
+            setup.net, setup.pop.host_cache, std::move(setup.workload),
+            setup.scanner, crawl_cfg));
+        // The super-spreader is a dedicated malicious server: permanently
+        // online, outside the churn process (this is what makes the paper's
+        // "67% of malicious responses from a single host" stable over a
+        // month).
+        const auto& users = setup.pop.user_specs;
+        std::vector<agents::PeerSpec> churnable;
+        churnable.reserve(users.size());
+        for (std::size_t i = 0; i < users.size(); ++i) {
+          if (i == setup.pop.superspreader_index) {
+            setup.net.add_node(users[i].make(), users[i].profile);
+          } else {
+            churnable.push_back(users[i]);
+          }
+        }
+        return churnable;
       });
-
-  OBS_SPAN("study.finalize");
-  crawl.finalize();
-
-  StudyResult result;
-  result.timeseries = std::move(series);
-  result.records = crawl.take_records();
-  result.crawl_stats = crawl.stats();
-  result.strain_catalog = pop.strain_catalog;
-  result.events_executed = net.engine().executed();
-  result.messages_delivered = net.messages_delivered();
-  result.bytes_delivered = net.bytes_delivered();
-  result.churn_joins = churn.joins();
-  result.churn_leaves = churn.leaves();
-  if (injector) {
-    result.faults_enabled = true;
-    result.fault_counters = injector->counters();
-  }
-  result.metrics = obs::MetricsRegistry::global().snapshot();
-  return result;
 }
 
 trace::StudySummary study_summary(const StudyResult& result) {

@@ -67,14 +67,19 @@ struct OpenFtStudyConfig {
   bool soa_capacity = false;
 };
 
-/// Enable a fault plan on a study config: stores the spec + schedule seed
-/// and switches the crawler to its resilient fetch policy (timeouts,
-/// backoff retries, circuit breaker). A non-enabled spec is a no-op, so
-/// `--faults none` leaves the run byte-identical to no flag at all.
-void apply_faults(LimewireStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed = 0);
-void apply_faults(OpenFtStudyConfig& config, const fault::FaultSpec& spec,
-                  std::uint64_t fault_seed = 0);
+/// Enable a fault plan on a study config (LimeWire, OpenFT or KAD): stores
+/// the spec + schedule seed and switches the crawler to its resilient fetch
+/// policy (timeouts, backoff retries, circuit breaker). A non-enabled spec
+/// is a no-op, so `--faults none` leaves the run byte-identical to no flag
+/// at all.
+template <typename StudyConfig>
+void apply_faults(StudyConfig& config, const fault::FaultSpec& spec,
+                  std::uint64_t fault_seed = 0) {
+  if (!spec.enabled()) return;
+  config.faults = spec;
+  config.fault_seed = fault_seed;
+  config.crawl.fetch = crawler::resilient_fetch_policy();
+}
 
 struct StudyResult {
   std::vector<crawler::ResponseRecord> records;

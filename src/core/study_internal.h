@@ -1,19 +1,24 @@
 // Shared internals of the per-network study drivers (study.cpp,
-// kad_study.cpp): the run loop, progress plumbing, and the config_hash
-// field mixer. Header-only and behavior-identical to the former anonymous-
-// namespace copies in study.cpp — a third network driver should include
-// this instead of duplicating them.
+// kad_study.cpp): the run skeleton every driver calls (run_study), its event
+// loop and progress plumbing, and the config_hash field mixer. A driver
+// supplies only its population builder and its crawler step.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "agents/churn.h"
+#include "core/study.h"
 #include "crawler/limewire_crawler.h"
+#include "crawler/workload.h"
+#include "fault/chaos.h"
 #include "fault/fault.h"
 #include "files/corpus.h"
+#include "malware/scanner.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/progress.h"
@@ -85,6 +90,143 @@ obs::TimeSeries run_study_loop(sim::Network& net,
     }
   }
   return recorder.take();
+}
+
+/// Executor partition for the full-fidelity studies: spawned shard workers
+/// record into the study's registry via a thread-scoped guard. At one shard
+/// no worker is spawned, so it equals the default ShardingConfig.
+inline sim::ShardingConfig study_sharding(std::size_t shards) {
+  sim::ShardingConfig sharding;
+  sharding.shards = shards;
+  sharding.worker_context = [&reg = obs::MetricsRegistry::global()] {
+    return std::static_pointer_cast<void>(
+        std::make_shared<obs::ScopedMetricsRegistry>(reg));
+  };
+  return sharding;
+}
+
+/// What a driver's crawler step works with: the network and population
+/// built so far, the shared scanner and query workload, and the fault
+/// injector (null in a fault-free run). The step adds its crawler(s).
+template <typename Population, typename Crawler>
+struct StudySetup {
+  sim::Network& net;
+  Population& pop;
+  std::shared_ptr<malware::Scanner> scanner;
+  crawler::QueryWorkload workload;
+  fault::FaultInjector* injector;
+  std::vector<std::unique_ptr<Crawler>> crawlers;
+};
+
+/// The measurement protocol every network driver runs, in this order:
+/// reset the registry; create the network on `shards` shards and install
+/// the fault hook; build the population (study.setup span), the scanner and
+/// the workload; run `crawler_step`, which adds the crawlers and returns
+/// the hosts churn drives; start churn (seed salted per network), the
+/// crawlers and the crash driver; run the loop; finalize (study.finalize
+/// span) and fill the result.
+///
+/// A single crawler streams its records into `record_sink` as it finalizes,
+/// in the order they land in the result. Several vantage logs are merged
+/// time-ordered with fresh ids and streamed after the merge.
+///
+/// perfbench/compose.cpp repeats this order call for call, so the order of
+/// add_node calls, rng draws and registry counters here is load-bearing.
+template <typename Crawler, typename Config, typename BuildPopulation,
+          typename CrawlerStep>
+StudyResult run_study(const Config& config, std::string_view network,
+                      std::size_t shards, std::uint64_t churn_salt,
+                      crawler::RecordSink* record_sink,
+                      BuildPopulation&& build_population,
+                      CrawlerStep&& crawler_step) {
+  // Each run owns the registry window: reset here, snapshot at the end.
+  obs::MetricsRegistry::global().reset();
+  sim::Network net(config.seed, study_sharding(shards));
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (config.faults.enabled()) {
+    std::uint64_t fault_seed =
+        config.fault_seed != 0 ? config.fault_seed : config.seed;
+    injector = std::make_unique<fault::FaultInjector>(config.faults, fault_seed);
+    net.set_fault_hook(injector.get());
+  }
+  auto pop = [&] {
+    OBS_SPAN("study.setup");
+    return build_population(net);
+  }();
+  StudySetup<decltype(pop), Crawler> setup{
+      net,
+      pop,
+      std::make_shared<malware::Scanner>(pop.strain_catalog.strains),
+      crawler::QueryWorkload::popular_from_catalog(
+          *pop.catalog, config.workload_top_n, pop.lure_queries),
+      injector.get(),
+      {}};
+  std::vector<agents::PeerSpec> churnable = crawler_step(setup);
+  auto& crawlers = setup.crawlers;
+  if (injector) {
+    for (auto& c : crawlers) c->set_fault_injector(injector.get());
+  }
+  if (record_sink != nullptr && crawlers.size() == 1) {
+    crawlers[0]->set_record_sink(record_sink);
+  }
+
+  agents::ChurnConfig churn_cfg = config.churn;
+  churn_cfg.seed = config.seed ^ churn_salt;
+  agents::ChurnDriver churn(net, std::move(churnable), churn_cfg);
+  churn.start();
+  for (auto& c : crawlers) c->start();
+  std::unique_ptr<fault::CrashDriver> crash_driver;
+  if (injector) {
+    crash_driver = std::make_unique<fault::CrashDriver>(net, churn, *injector);
+    crash_driver->start(study_end(config.crawl));
+  }
+
+  obs::TimeSeries series = run_study_loop(
+      net, config.crawl, config.timeseries, network, [&crawlers] {
+        ProgressCounters c;
+        for (const auto& cr : crawlers) {
+          const auto& s = cr->stats();
+          c.responses += s.responses;
+          c.degraded +=
+              s.downloads_failed + s.downloads_abandoned + s.scan_timeouts;
+        }
+        return c;
+      });
+
+  OBS_SPAN("study.finalize");
+  StudyResult result;
+  result.timeseries = std::move(series);
+  for (auto& c : crawlers) {
+    c->finalize();
+    auto records = c->take_records();
+    result.records.insert(result.records.end(),
+                          std::make_move_iterator(records.begin()),
+                          std::make_move_iterator(records.end()));
+    result.crawl_stats += c->stats();
+  }
+  if (crawlers.size() > 1) {
+    std::stable_sort(result.records.begin(), result.records.end(),
+                     [](const crawler::ResponseRecord& a,
+                        const crawler::ResponseRecord& b) { return a.at < b.at; });
+    for (std::size_t i = 0; i < result.records.size(); ++i) {
+      result.records[i].id = i + 1;
+    }
+    if (record_sink != nullptr) {
+      for (const auto& rec : result.records) record_sink->on_record(rec);
+    }
+  }
+  result.strain_catalog = pop.strain_catalog;
+  result.events_executed = net.engine().executed();
+  result.messages_delivered = net.messages_delivered();
+  result.bytes_delivered = net.bytes_delivered();
+  result.churn_joins = churn.joins();
+  result.churn_leaves = churn.leaves();
+  if (injector) {
+    result.faults_enabled = true;
+    result.fault_counters = injector->counters();
+  }
+  result.metrics = obs::MetricsRegistry::global().snapshot();
+  return result;
 }
 
 // Order-dependent field mixer for config_hash: every field is folded

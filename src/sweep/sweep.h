@@ -132,7 +132,7 @@ struct SweepOptions {
   /// Override how a task's study is produced (cache layers in bench, fault
   /// injection in tests). Called concurrently from worker threads — each
   /// call runs under that task's scoped metrics registry. Defaults to
-  /// core::run_limewire_study / run_openft_study.
+  /// core::run_limewire_study / run_openft_study / run_kad_study.
   std::function<core::StudyResult(const StudyTask&)> runner;
   /// Optional live-progress channel: ticked once per completed task (its
   /// mutex serializes the workers). Progress is wall-clock output only and

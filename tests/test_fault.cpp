@@ -23,6 +23,7 @@
 #include "core/report.h"
 #include "core/study.h"
 #include "fault/fault.h"
+#include "obs/export.h"
 
 namespace p2p {
 namespace {
@@ -239,6 +240,95 @@ TEST(FaultOff, FaultPlanChangesConfigHash) {
   auto reseeded = tiny_limewire();
   core::apply_faults(reseeded, fault::preset_mild(), 77);
   EXPECT_NE(core::config_hash(faulted), core::config_hash(reseeded));
+}
+
+// Run counters pinned per driver, fault-free and under the moderate plan:
+// the events, messages, bytes, churn joins/leaves, crawl stats, fault
+// counters and metrics snapshot of a trace summary block. The report
+// fixtures above pin only the records, so an ordering slip in the shared
+// study skeleton (an extra event, a shifted rng draw) would go unseen
+// without these.
+std::string summary_json(const core::StudyResult& result) {
+  trace::StudySummary s = core::study_summary(result);
+  // A registry reset zeroes values but keeps every name an earlier study in
+  // this process registered; drop all-zero samples so the rendering does
+  // not depend on which tests ran before.
+  auto& m = s.metrics;
+  std::erase_if(m.counters, [](const auto& x) { return x.value == 0; });
+  std::erase_if(m.gauges,
+                [](const auto& x) { return x.value == 0 && x.max == 0; });
+  std::erase_if(m.histograms, [](const auto& x) { return x.count == 0; });
+  const auto& c = s.crawl_stats;
+  const auto& f = s.fault_counters;
+  std::ostringstream out;
+  out << "{\"events\":" << s.events_executed
+      << ",\"messages\":" << s.messages_delivered
+      << ",\"bytes\":" << s.bytes_delivered
+      << ",\"churn_joins\":" << s.churn_joins
+      << ",\"churn_leaves\":" << s.churn_leaves
+      << ",\"crawl\":[" << c.queries_sent << "," << c.hits << ","
+      << c.responses << "," << c.study_responses << "," << c.downloads_started
+      << "," << c.downloads_ok << "," << c.downloads_failed << ","
+      << c.bytes_downloaded << "," << c.distinct_contents << ","
+      << c.downloads_abandoned << "," << c.retries_spent << ","
+      << c.hosts_quarantined << "," << c.scan_timeouts << "]"
+      << ",\"faults_enabled\":" << (s.faults_enabled ? "true" : "false")
+      << ",\"faults\":[" << f.messages_dropped << "," << f.messages_delayed
+      << "," << f.messages_duplicated << "," << f.payloads_corrupted << ","
+      << f.peer_crashes << "," << f.peer_restarts << "," << f.downloads_stalled
+      << "," << f.scan_timeouts << "]"
+      << ",\"metrics\":";
+  obs::write_json(out, s.metrics);
+  out << "}\n";
+  return out.str();
+}
+
+// On a mismatch the actual rendering lands in the test's working directory
+// as <name>.actual.json, ready to diff against the fixture.
+void expect_counters_fixture(const core::StudyResult& result,
+                             const std::string& name) {
+  std::string path = std::string(P2P_SOURCE_DIR) + "/tests/data/run_counters_" +
+                     name + ".json";
+  std::string expected = read_file(path);
+  std::string actual = summary_json(result);
+  if (actual != expected) {
+    std::ofstream(name + ".actual.json", std::ios::binary) << actual;
+  }
+  ASSERT_FALSE(expected.empty()) << "fixture missing: " << path;
+  EXPECT_EQ(actual, expected);
+}
+
+template <typename Config>
+Config moderate(Config cfg) {
+  core::apply_faults(cfg, fault::preset_moderate());
+  return cfg;
+}
+
+TEST(RunCounters, LimewireMatchesFixture) {
+  expect_counters_fixture(core::run_limewire_study(tiny_limewire()), "limewire");
+}
+
+TEST(RunCounters, LimewireModerateMatchesFixture) {
+  expect_counters_fixture(core::run_limewire_study(moderate(tiny_limewire())),
+                          "limewire_moderate");
+}
+
+TEST(RunCounters, OpenFtMatchesFixture) {
+  expect_counters_fixture(core::run_openft_study(tiny_openft()), "openft");
+}
+
+TEST(RunCounters, OpenFtModerateMatchesFixture) {
+  expect_counters_fixture(core::run_openft_study(moderate(tiny_openft())),
+                          "openft_moderate");
+}
+
+TEST(RunCounters, KadMatchesFixture) {
+  expect_counters_fixture(core::run_kad_study(tiny_kad()), "kad");
+}
+
+TEST(RunCounters, KadModerateMatchesFixture) {
+  expect_counters_fixture(core::run_kad_study(moderate(tiny_kad())),
+                          "kad_moderate");
 }
 
 // ---------------------------------------------------------------------------
