@@ -41,6 +41,15 @@
 #             succeeds, damage counted) while MANIFEST damage stays fatal.
 #             Leaves the MANIFEST, rolling-window CSV, and reports in
 #             ci-longhaul/ for artifact upload.
+#   experiments
+#             Paper tables: bench/experiments --check EXPERIMENTS.md
+#             regenerates every generated block of the committed file
+#             (both standard studies, the A2–A4 crawls and two 16-seed
+#             standard sweeps, on every core) and fails naming each block
+#             that differs.
+#
+# The default order runs bench after longhaul: bench's speedup floors fail
+# on hosts with 4 or more cores, and set -e would otherwise skip longhaul.
 #
 # Usage: ci/run_tiers.sh [jobs] [tier ...]
 #   A leading integer sets the job count (default: nproc); remaining
@@ -56,12 +65,12 @@ if [[ $# -gt 0 && "$1" =~ ^[0-9]+$ ]]; then
 fi
 TIERS=("$@")
 if [[ ${#TIERS[@]} -eq 0 ]]; then
-  TIERS=(release sanitize replay tsan chaos bench longhaul)
+  TIERS=(release sanitize replay tsan chaos longhaul bench experiments)
 fi
 
 # Validate every tier name up front: a typo in the third tier must not cost
 # a full run of the first two before failing.
-KNOWN_TIERS="release sanitize replay tsan chaos bench longhaul"
+KNOWN_TIERS="release sanitize replay tsan chaos longhaul bench experiments"
 for tier in "${TIERS[@]}"; do
   case " ${KNOWN_TIERS} " in
     *" ${tier} "*) ;;
@@ -344,6 +353,12 @@ PY
   )
 }
 
+tier_experiments() {
+  echo "== tier experiments: EXPERIMENTS.md matches a fresh regeneration =="
+  [[ -d build-ci-release ]] || build_release
+  ./build-ci-release/bench/experiments --check EXPERIMENTS.md
+}
+
 for tier in "${TIERS[@]}"; do
   case "${tier}" in
     release)  tier_release ;;
@@ -353,6 +368,7 @@ for tier in "${TIERS[@]}"; do
     chaos)    tier_chaos ;;
     bench)    tier_bench ;;
     longhaul) tier_longhaul ;;
+    experiments) tier_experiments ;;
   esac
 done
 

@@ -1,5 +1,5 @@
 // Paper-table emitters: render each reproduced experiment in the same
-// rows/series the paper reports. Used by the bench binaries and examples.
+// rows/series the paper reports. Used by the example CLIs.
 // Also the canonical Report struct — every analysis family computed once
 // over a record stream — shared by the live and trace-replay paths so the
 // two produce byte-identical JSON for the same records.
@@ -105,8 +105,8 @@ void attach_fault_report(Report& report, bool enabled,
                          const crawler::CrawlStats& stats);
 
 /// The vendor's strain knowledge used for the builtin-filter baseline
-/// (shared by build_report, the sweep observables, and bench_e5 — one list,
-/// kept in sync by construction).
+/// (shared by build_report and the sweep observables — one list, kept in
+/// sync by construction).
 [[nodiscard]] const std::vector<std::string>& vendor_known_strains();
 [[nodiscard]] const std::vector<std::string>& vendor_partial_strains();
 

@@ -45,7 +45,9 @@ void SpanProfiler::write_chrome_trace(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  std::uint64_t dropped = 0;
   for (const auto& buffer : buffers_) {
+    dropped += buffer->dropped;
     for (const auto& e : buffer->spans) {
       if (!first) out << ",";
       first = false;
@@ -60,7 +62,8 @@ void SpanProfiler::write_chrome_trace(std::ostream& out) const {
       out << "}}";
     }
   }
-  out << "]}\n";
+  // A capped trace says so: viewers show otherData as trace metadata.
+  out << "],\"otherData\":{\"spans_dropped\":" << dropped << "}}\n";
 }
 
 std::size_t SpanProfiler::total_spans() const {

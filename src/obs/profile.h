@@ -54,8 +54,9 @@ class SpanProfiler {
   }
 
   /// Chrome trace-event JSON (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-  /// `{"traceEvents":[{"name","cat","ph":"X","ts","dur","pid","tid","args"}...]}`.
-  /// Loads in Perfetto and chrome://tracing.
+  /// `{"traceEvents":[{"name","cat","ph":"X","ts","dur","pid","tid","args"}...],
+  /// "otherData":{"spans_dropped":N}}` — N counts the spans the per-thread
+  /// bound dropped. Loads in Perfetto and chrome://tracing.
   void write_chrome_trace(std::ostream& out) const;
 
   [[nodiscard]] std::size_t total_spans() const;

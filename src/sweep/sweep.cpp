@@ -152,7 +152,7 @@ std::map<std::string, double> extract_observables(const core::StudyResult& resul
   }
 
   // E5 protocol: learn filters on the first quarter of the crawl, evaluate
-  // on the rest (same split and vendor lists as bench_e5 — keep in sync).
+  // on the rest (same split and vendor lists as core::build_report).
   auto split = filter::split_at_fraction(stream, 0.25);
   auto size_filter = filter::SizeFilter::learn(split.training);
   auto size_eval = filter::evaluate(size_filter, split.evaluation);

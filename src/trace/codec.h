@@ -1,7 +1,7 @@
 // Encoders/decoders for everything that lives inside a trace file: the
 // header body, ResponseRecords, and the study summary block. One encoding,
-// one fuzz surface — bench/study_cache and the sweep record/replay path all
-// go through these functions.
+// one fuzz surface — core::save_study_trace / load_study_trace and the sweep
+// record/replay path all go through these functions.
 #pragma once
 
 #include "crawler/fetch.h"  // CrawlStats

@@ -21,7 +21,7 @@
 // Block kinds:
 //   1 records  payload = varint count, then `count` encoded ResponseRecords
 //   2 summary  payload = study counters + crawl stats + metrics snapshot
-//              (what bench/study_cache persists beside the records)
+//              (what core::save_study_trace persists beside the records)
 //   other      skipped (forward compatibility)
 //
 // Versioning rules: `version` names the record schema. Any change to the

@@ -5,23 +5,14 @@
 // sanitizer tier scales the loops up via P2P_FUZZ_ROUNDS.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "fault/fault.h"
 #include "gnutella/message.h"
 #include "openft/packet.h"
+#include "tests/fuzz_rounds.h"
 #include "util/rng.h"
 
 namespace p2p {
 namespace {
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 // An injector that corrupts every message it sees: the worst case of its
 // in-flight mutation.

@@ -4,23 +4,15 @@
 // P2P_FUZZ_ROUNDS like the rest of the fuzz binary (see ci/run_tiers.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "kad/message.h"
+#include "tests/fuzz_rounds.h"
 #include "util/rng.h"
 
 namespace p2p {
 namespace {
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 kad::KadId random_kad_id(util::Rng& rng) {
   return kad::KadId{rng.next(), rng.next()};

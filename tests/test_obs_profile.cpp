@@ -73,6 +73,16 @@ TEST_F(ObsProfile, OverflowDropsBeyondPerThreadBound) {
   EXPECT_EQ(SpanProfiler::global().total_dropped(), 6u);
 }
 
+TEST_F(ObsProfile, ChromeTraceReportsDroppedSpans) {
+  SpanProfiler::global().enable(/*max_spans_per_thread=*/2);
+  for (int i = 0; i < 3; ++i) {
+    OBS_SPAN("capped");
+  }
+  EXPECT_EQ(SpanProfiler::global().total_dropped(), 1u);
+  EXPECT_NE(chrome_json().find("\"otherData\":{\"spans_dropped\":1}"),
+            std::string::npos);
+}
+
 TEST_F(ObsProfile, ThreadsGetIsolatedBuffers) {
   SpanProfiler::global().enable(/*max_spans_per_thread=*/2);
   auto worker = [] {
@@ -106,7 +116,9 @@ TEST_F(ObsProfile, ChromeTraceShape) {
   { OBS_SPAN("shape_check"); }
   std::string json = chrome_json();
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
-  EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
+  const std::string tail = "],\"otherData\":{\"spans_dropped\":0}}\n";
+  ASSERT_GE(json.size(), tail.size());
+  EXPECT_EQ(json.substr(json.size() - tail.size()), tail);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"p2p\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);

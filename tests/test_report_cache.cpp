@@ -1,12 +1,13 @@
-// Report emitters and the bench study-result cache.
+// Report emitters and the study trace files (core::save_study_trace /
+// load_study_trace) that persist a finished study for later analysis.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "bench/study_cache.h"
 #include "core/report.h"
+#include "core/study.h"
 
 namespace p2p {
 namespace {
@@ -33,6 +34,15 @@ crawler::ResponseRecord sample_record(std::uint64_t id, bool infected) {
   r.strain_name = infected ? "W32.Test.A" : "";
   r.type_by_magic = files::FileType::kExecutable;
   return r;
+}
+
+// Saves `result` as a trace whose header carries `config_hash` (0 = unset).
+bool save_study(const std::string& path, const core::StudyResult& result,
+                std::uint64_t config_hash = 0) {
+  trace::TraceHeader header;
+  header.network = "limewire";
+  header.config_hash = config_hash;
+  return core::save_study_trace(path, result, header);
 }
 
 TEST(Report, PrevalenceTableMentionsKeyNumbers) {
@@ -88,10 +98,10 @@ TEST(StudyCache, RoundTripsRecordsExactly) {
     original.records.push_back(sample_record(i, i % 3 == 0));
   }
 
-  std::string path = "test_cache_roundtrip.bin";
-  ASSERT_TRUE(bench::save_study(path, original));
+  std::string path = "test_study_trace_roundtrip.p2pt";
+  ASSERT_TRUE(save_study(path, original));
   core::StudyResult loaded;
-  ASSERT_TRUE(bench::load_study(path, loaded));
+  ASSERT_TRUE(core::load_study_trace(path, loaded));
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.events_executed, original.events_executed);
@@ -123,13 +133,13 @@ TEST(StudyCache, RoundTripsRecordsExactly) {
 
 TEST(StudyCache, RejectsMissingAndCorrupt) {
   core::StudyResult result;
-  EXPECT_FALSE(bench::load_study("nonexistent_file.bin", result));
+  EXPECT_FALSE(core::load_study_trace("nonexistent_file.bin", result));
 
   // Corrupt: truncated file.
   core::StudyResult original;
   original.records.push_back(sample_record(1, true));
-  std::string path = "test_cache_corrupt.bin";
-  ASSERT_TRUE(bench::save_study(path, original));
+  std::string path = "test_study_trace_corrupt.p2pt";
+  ASSERT_TRUE(save_study(path, original));
   {
     std::ifstream in(path, std::ios::binary);
     std::string data((std::istreambuf_iterator<char>(in)),
@@ -137,35 +147,29 @@ TEST(StudyCache, RejectsMissingAndCorrupt) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
   }
-  EXPECT_FALSE(bench::load_study(path, result));
+  EXPECT_FALSE(core::load_study_trace(path, result));
   std::remove(path.c_str());
-}
-
-TEST(StudyCache, PathEncodesNameAndSeed) {
-  EXPECT_EQ(bench::cache_path("limewire", 2006), "bench_cache_limewire_2006.p2pt");
-  EXPECT_EQ(bench::sweep_cache_path(0xabcULL),
-            "bench_cache_sweep_0000000000000abc.p2pt");
 }
 
 TEST(StudyCache, MissesWhenConfigHashChanges) {
   core::StudyResult original;
   original.records.push_back(sample_record(1, true));
-  std::string path = "test_cache_stale.bin";
+  std::string path = "test_study_trace_stale.p2pt";
   auto cfg = core::limewire_quick();
   std::uint64_t hash = core::config_hash(cfg);
-  ASSERT_TRUE(bench::save_study(path, original, hash));
+  ASSERT_TRUE(save_study(path, original, hash));
 
   core::StudyResult loaded;
-  EXPECT_TRUE(bench::load_study(path, loaded, hash));
+  EXPECT_TRUE(core::load_study_trace(path, loaded, hash));
 
-  // Any config edit changes the hash, so the cache entry goes stale.
+  // Any config edit changes the hash, so the saved trace goes stale.
   cfg.crawl.duration = cfg.crawl.duration + util::SimDuration::hours(1);
   std::uint64_t changed = core::config_hash(cfg);
   ASSERT_NE(changed, hash);
-  EXPECT_FALSE(bench::load_study(path, loaded, changed));
+  EXPECT_FALSE(core::load_study_trace(path, loaded, changed));
 
-  // Hash 0 skips validation (legacy callers).
-  EXPECT_TRUE(bench::load_study(path, loaded, 0));
+  // Hash 0 skips validation.
+  EXPECT_TRUE(core::load_study_trace(path, loaded, 0));
   std::remove(path.c_str());
 }
 

@@ -9,12 +9,12 @@
 // scale the loops up via P2P_FUZZ_ROUNDS (see ci/run_tiers.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "tests/fuzz_rounds.h"
 #include "trace/codec.h"
 #include "trace/reader.h"
 #include "trace/segment.h"
@@ -25,14 +25,6 @@ namespace p2p {
 namespace {
 
 namespace fs = std::filesystem;
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 trace::SegmentIndex random_index(util::Rng& rng) {
   trace::SegmentIndex index;

@@ -11,25 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "sim/network.h"
 #include "sim/sharded_engine.h"
+#include "tests/fuzz_rounds.h"
 #include "util/payload.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 
 namespace p2p {
 namespace {
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 std::uint64_t mix(std::uint64_t x) { return util::splitmix64(x); }
 

@@ -7,9 +7,9 @@
 // scale the loops up via P2P_FUZZ_ROUNDS (see ci/run_tiers.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
+#include "tests/fuzz_rounds.h"
 #include "trace/codec.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
@@ -17,14 +17,6 @@
 
 namespace p2p {
 namespace {
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 std::string random_text(util::Rng& rng, std::size_t max_len) {
   std::size_t len = rng.index(max_len + 1);

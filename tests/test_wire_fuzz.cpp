@@ -7,22 +7,13 @@
 // (see ci/run_tiers.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "gnutella/message.h"
 #include "openft/packet.h"
+#include "tests/fuzz_rounds.h"
 #include "util/rng.h"
 
 namespace p2p {
 namespace {
-
-int fuzz_rounds(int fallback) {
-  if (const char* env = std::getenv("P2P_FUZZ_ROUNDS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 std::string random_text(util::Rng& rng, std::size_t max_len) {
   // NUL-free printable-ish text (NUL is the wire terminator).
