@@ -1,15 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops: signature
 // scanning, archive-aware scanning, hashing, wire serialization/parsing,
-// QRP hashing/matching, and keyword matching. These bound the throughput
-// of the measurement pipeline itself.
+// QRP hashing/matching, leaf QRP table builds, GUID hashing, and keyword
+// matching. These bound the throughput of the measurement pipeline itself.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "files/file.h"
 #include "files/hash.h"
 #include "files/zip.h"
 #include "gnutella/message.h"
 #include "gnutella/qrp.h"
+#include "gnutella/shared_index.h"
 #include "malware/builder.h"
 #include "malware/catalogs.h"
 #include "malware/scanner.h"
@@ -171,6 +177,58 @@ void BM_QrpPatchDecode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_QrpPatchDecode);
+
+// One leaf's QRP table as send_qrt builds it on every ultrapeer link: 500
+// shared files on a population-wide interner that 20 other leaves have
+// already filled; items/s is tables/s.
+void BM_LeafQrtBuild(benchmark::State& state) {
+  static const char* const kWords[] = {"blue",  "horizon", "midnight", "rain", "live",
+                                       "remix", "setup",   "tool",     "2006", "crack",
+                                       "album", "track",   "video",    "divx", "keygen"};
+  static const char* const kExts[] = {".mp3", ".avi", ".exe", ".zip", ".wma"};
+  util::Rng rng(7);
+  auto name = [&rng] {
+    std::string n;
+    for (std::size_t w = 0, words = 2 + rng.index(4); w < words; ++w) {
+      n += kWords[rng.index(std::size(kWords))];
+      n += w == 0 ? " - " : " ";
+    }
+    return n + std::to_string(rng.index(2000)) + kExts[rng.index(std::size(kExts))];
+  };
+  std::vector<std::string> catalog;
+  for (int i = 0; i < 5000; ++i) catalog.push_back(name());
+  auto interner = std::make_shared<gnutella::TokenInterner>();
+  auto leaf = [&] {
+    gnutella::SharedFileIndex index(interner);
+    for (int f = 0; f < 500; ++f) {
+      index.add(std::make_shared<const files::FileContent>(
+          catalog[rng.index(catalog.size())], util::Bytes(16, 0x61)));
+    }
+    return index;
+  };
+  for (int other = 0; other < 20; ++other) leaf();
+  gnutella::SharedFileIndex index = leaf();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.build_qrt(13));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LeafQrtBuild);
+
+// GuidHash over 1024 random GUIDs per iteration; items/s is hashes/s.
+void BM_GuidHash(benchmark::State& state) {
+  util::Rng rng(11);
+  std::vector<gnutella::Guid> guids;
+  for (int i = 0; i < 1024; ++i) guids.push_back(gnutella::Guid::random(rng));
+  gnutella::GuidHash hash;
+  for (auto _ : state) {
+    std::size_t acc = 0;
+    for (const auto& g : guids) acc ^= hash(g);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_GuidHash);
 
 void BM_KeywordMatch(benchmark::State& state) {
   for (auto _ : state) {

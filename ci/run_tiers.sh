@@ -3,6 +3,14 @@
 #
 #   release   Release build, full ctest suite (includes the obs, cli, fault,
 #             fuzz, and paper labels at their default scale).
+#   perfbench The repository benchmark's self-test (python3 perfbench/run.py
+#             --self-test): builds perfbench/, which compiles src/ in
+#             Release, into .bench_build/; runs p2pbench_tests; then runs
+#             every BENCHMARK.json workload at test size untraced and
+#             traced. Fails on a build error, a failed operation, traced
+#             output that differs from the untraced run, or a metric whose
+#             name or unit BENCHMARK.json does not declare — so a src/
+#             change that breaks the benchmark fails here first.
 #   sanitize  Sanitizer build (address,undefined), wire-format + trace-store
 #             + fault-corruption fuzz suite with the mutation loops scaled up
 #             via P2P_FUZZ_ROUNDS.
@@ -65,12 +73,12 @@ if [[ $# -gt 0 && "$1" =~ ^[0-9]+$ ]]; then
 fi
 TIERS=("$@")
 if [[ ${#TIERS[@]} -eq 0 ]]; then
-  TIERS=(release sanitize replay tsan chaos longhaul bench experiments)
+  TIERS=(release perfbench sanitize replay tsan chaos longhaul bench experiments)
 fi
 
 # Validate every tier name up front: a typo in the third tier must not cost
 # a full run of the first two before failing.
-KNOWN_TIERS="release sanitize replay tsan chaos longhaul bench experiments"
+KNOWN_TIERS="release perfbench sanitize replay tsan chaos longhaul bench experiments"
 for tier in "${TIERS[@]}"; do
   case " ${KNOWN_TIERS} " in
     *" ${tier} "*) ;;
@@ -95,6 +103,11 @@ tier_release() {
     ctest -L paper --output-on-failure
     ctest -j "${JOBS}" --output-on-failure
   )
+}
+
+tier_perfbench() {
+  echo "== tier perfbench: the repository benchmark builds and self-tests =="
+  python3 perfbench/run.py --self-test
 }
 
 tier_sanitize() {
@@ -362,6 +375,7 @@ tier_experiments() {
 for tier in "${TIERS[@]}"; do
   case "${tier}" in
     release)  tier_release ;;
+    perfbench) tier_perfbench ;;
     sanitize) tier_sanitize ;;
     replay)   tier_replay ;;
     tsan)     tier_tsan ;;

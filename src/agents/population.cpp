@@ -161,7 +161,8 @@ GnutellaPopulation build_gnutella_population(sim::Network& net,
       } else {
         // Fixed-lure strains sit in the share folder like any other file:
         // the lure-named original plus a folder of trojanized copies named
-        // after popular works ("<query> keygen.exe").
+        // after popular works ("<query> keygen.exe"), each an alias that
+        // shares its artifact's bytes and digests.
         util::Rng pick_rng(rng.next());
         index.add(pop.artifacts->pick(spec.strain, pick_rng));
         std::size_t aliases = config.trojan_aliases_min +
@@ -173,7 +174,7 @@ GnutellaPopulation build_gnutella_population(sim::Network& net,
           std::string ext = util::extension(artifact->name());
           std::string alias = work.query + (pick_rng.chance(0.5) ? " keygen." : " crack.") +
                               (ext.empty() ? "exe" : ext);
-          index.add(std::make_shared<files::FileContent>(alias, artifact->bytes()));
+          index.add(std::make_shared<files::FileContent>(alias, *artifact));
         }
       }
     }

@@ -6,16 +6,18 @@
 
 namespace p2p::gnutella {
 
-std::vector<std::uint32_t> TokenInterner::intern_keywords(std::string_view text) {
+const std::vector<std::uint32_t>& TokenInterner::intern_keywords(std::string_view text) {
+  if (auto memo = names_.find(text); memo != names_.end()) return memo->second;
   std::vector<std::uint32_t> out;
   for (auto& kw : util::keywords(text)) {
-    auto [it, inserted] =
-        ids_.emplace(std::move(kw), static_cast<std::uint32_t>(ids_.size()));
+    auto id = static_cast<std::uint32_t>(ids_.size());
+    auto [it, inserted] = ids_.emplace(std::move(kw), id);
+    if (inserted) qrp_hashes_.push_back(qrp_hash(it->first, kHashBits));
     out.push_back(it->second);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return names_.emplace(std::string(text), std::move(out)).first->second;
 }
 
 std::optional<std::vector<std::uint32_t>> TokenInterner::lookup_keywords(
@@ -37,7 +39,7 @@ std::optional<std::vector<std::uint32_t>> TokenInterner::lookup_keywords(
 std::uint32_t SharedFileIndex::add(std::shared_ptr<const files::FileContent> file) {
   if (!interner_) interner_ = std::make_shared<TokenInterner>();
   total_bytes_ += file->size();
-  auto ids = interner_->intern_keywords(file->name());
+  const auto& ids = interner_->intern_keywords(file->name());
   token_ids_.insert(token_ids_.end(), ids.begin(), ids.end());
   offsets_.push_back(static_cast<std::uint32_t>(token_ids_.size()));
   files_.push_back(std::move(file));
@@ -66,7 +68,7 @@ std::shared_ptr<const files::FileContent> SharedFileIndex::get(std::uint32_t ind
 
 QueryRouteTable SharedFileIndex::build_qrt(unsigned table_bits) const {
   QueryRouteTable qrt(table_bits);
-  for (const auto& f : files_) qrt.add_keywords(f->name());
+  for (std::uint32_t id : token_ids_) qrt.set(interner_->qrp_slot(id, table_bits));
   return qrt;
 }
 

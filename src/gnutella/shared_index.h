@@ -3,13 +3,14 @@
 //
 // Matching is interned: every distinct keyword gets a small integer id from
 // a TokenInterner (one per population, shared by every peer's index), each
-// file's name is tokenized exactly once at add() time into a sorted id set,
-// and match() tokenizes the query once and runs a sorted-subset test per
-// file. This replaces the old per-call re-tokenization of every file name
-// (util::keyword_match per file per query) on the hottest study path.
+// distinct name is tokenized once per population into a sorted id set, and
+// match() tokenizes the query once and runs a sorted-subset test per file.
+// build_qrt() never tokenizes: the interner keeps each token's QRP hash, so
+// a table is an OR of slots over the index's token ids.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,15 +25,18 @@ namespace p2p::gnutella {
 
 /// Keyword -> dense id table shared across every shared-file index of a
 /// population ("the corpus"). Interning happens at population-build time
-/// (single-threaded); during a run only the const lookup path is used, so
-/// concurrent match() calls from sharded-engine workers are safe. Token id
-/// values are an internal detail — nothing observable depends on them.
+/// (single-threaded); once the population is built the interner is
+/// read-only, so concurrent match() and build_qrt() calls from
+/// sharded-engine workers are safe. Token id values are an internal
+/// detail — nothing observable depends on them.
 class TokenInterner {
  public:
   /// Sorted unique ids for every keyword of `text` (a filename), interning
   /// tokens not seen before. Tokenization matches util::keywords: split on
-  /// non-alphanumeric, lowercase, drop tokens shorter than 2 chars.
-  std::vector<std::uint32_t> intern_keywords(std::string_view text);
+  /// non-alphanumeric, lowercase, drop tokens shorter than 2 chars. Each
+  /// distinct text is tokenized once; later calls return the memoized ids
+  /// (the reference stays valid as long as the interner).
+  const std::vector<std::uint32_t>& intern_keywords(std::string_view text);
 
   /// Sorted unique ids for a query's keywords; nullopt when the query has
   /// no keywords or contains a keyword never interned — either way no
@@ -40,10 +44,32 @@ class TokenInterner {
   [[nodiscard]] std::optional<std::vector<std::uint32_t>> lookup_keywords(
       std::string_view text) const;
 
+  /// QRP slot of token `id` in a table of 2^bits slots: qrp_hash(token,
+  /// bits), taken from the full-width hash stored when the token was
+  /// interned.
+  [[nodiscard]] std::uint32_t qrp_slot(std::uint32_t id, unsigned bits) const {
+    return qrp_hashes_[id] >> (kHashBits - bits);
+  }
+
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
  private:
+  /// Widest table qrp_hash supports; a narrower table's hash is a shift of it.
+  static constexpr unsigned kHashBits = 31;
+
+  /// Lets names_ be probed with a string_view, without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<std::uint32_t> qrp_hashes_;  // qrp_hash(token, kHashBits) by id
+  /// text -> its sorted unique ids
+  std::unordered_map<std::string, std::vector<std::uint32_t>, NameHash, std::equal_to<>>
+      names_;
 };
 
 class SharedFileIndex {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace p2p::gnutella {
@@ -24,6 +27,39 @@ TEST(Guid, HashDistinguishes) {
   GuidHash h;
   EXPECT_NE(h(guid_of(1)), h(guid_of(2)));
   EXPECT_EQ(h(guid_of(3)), h(guid_of(3)));
+}
+
+// Any single-byte change, at any position and to any other value, changes
+// the hash.
+TEST(Guid, HashSeesEverySingleByteChange) {
+  GuidHash h;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Guid base = guid_of(seed);
+    const std::size_t base_hash = h(base);
+    for (std::size_t pos = 0; pos < base.bytes.size(); ++pos) {
+      for (unsigned delta = 1; delta < 256; ++delta) {
+        Guid changed = base;
+        changed.bytes[pos] = static_cast<std::uint8_t>(changed.bytes[pos] ^ delta);
+        ASSERT_NE(h(changed), base_hash) << "seed " << seed << ", byte " << pos
+                                         << ", xor " << delta;
+      }
+    }
+  }
+}
+
+// 100k random GUIDs over 2^16 buckets (mean load 1.53): a Poisson spread
+// tops out near 9, so a max load above 12 means the hash is clumping.
+TEST(Guid, HashSpreadsRandomGuids) {
+  GuidHash h;
+  util::Rng rng(99);
+  std::vector<std::uint32_t> buckets(1u << 16, 0);
+  for (int i = 0; i < 100'000; ++i) ++buckets[h(Guid::random(rng)) & 0xffffu];
+  std::uint32_t max_load = *std::max_element(buckets.begin(), buckets.end());
+  EXPECT_LE(max_load, 12u);
+  std::size_t empty = static_cast<std::size_t>(std::count(buckets.begin(), buckets.end(), 0u));
+  // e^-1.53 of 65,536 buckets, about 14.2k, stay empty under a uniform spread.
+  EXPECT_GT(empty, 13'000u);
+  EXPECT_LT(empty, 15'500u);
 }
 
 TEST(Message, PingRoundTrip) {

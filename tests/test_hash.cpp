@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
+
+#include "files/file.h"
 
 namespace p2p::files {
 namespace {
@@ -123,6 +126,27 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PaddingBoundary,
 TEST(Digests, DifferentInputsDiffer) {
   EXPECT_NE(sha1(bytes_of("a")), sha1(bytes_of("b")));
   EXPECT_NE(md5(bytes_of("a")), md5(bytes_of("b")));
+}
+
+// A trojan alias is a second name over its artifact's bytes: it shares the
+// bytes and the once-computed digests, whichever side asks first, and it
+// keeps them alive after the source is gone.
+TEST(FileContent, AliasSharesBytesAndDigests) {
+  auto source = std::make_shared<const FileContent>("setup.exe", bytes_of("MZ trojan body"));
+  const Digest20& source_sha1 = source->sha1();  // computed before the alias exists
+  FileContent alias("popular song keygen.exe", *source);
+  EXPECT_EQ(alias.name(), "popular song keygen.exe");
+  EXPECT_EQ(source->name(), "setup.exe");
+  EXPECT_EQ(&alias.bytes(), &source->bytes());
+  EXPECT_EQ(alias.size(), source->size());
+  EXPECT_EQ(&alias.sha1(), &source_sha1);
+  EXPECT_EQ(alias.sha1(), sha1(bytes_of("MZ trojan body")));
+  const Digest16& alias_md5 = alias.md5();  // computed through the alias first
+  EXPECT_EQ(&source->md5(), &alias_md5);
+  EXPECT_EQ(alias_md5, md5(bytes_of("MZ trojan body")));
+
+  source.reset();
+  EXPECT_EQ(alias.bytes(), bytes_of("MZ trojan body"));
 }
 
 }  // namespace

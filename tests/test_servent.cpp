@@ -546,5 +546,85 @@ TEST(SharedFileIndex, MatchAndLookup) {
   EXPECT_FALSE(qrt.matches("delta"));
 }
 
+// A random file name mixing what real names carry: upper and lower case,
+// punctuation, digits, 1-char tokens, repeated tokens and bytes >= 0x80
+// (which the tokenizer treats as separators).
+std::string random_name(util::Rng& rng) {
+  static const std::vector<std::string> kPool{"Blue", "blue", "HORIZON", "a",      "7",
+                                              "2006", "mp3",  "Keygen",  "x86",    "Z",
+                                              "caf\xe9", "\xff\x80", "Rain!!", "o'neil"};
+  static const std::string kAlnum =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  static const std::vector<std::string> kSeparators{" ", "-", "_", ".", " (", ") ", "[",
+                                                    "] ", "'", "\xe9", "\xc3\xa9", "\x80"};
+  std::string name;
+  std::size_t tokens = 1 + rng.index(8);
+  for (std::size_t t = 0; t < tokens; ++t) {
+    if (rng.chance(0.5)) {
+      name += kPool[rng.index(kPool.size())];
+    } else {
+      std::size_t len = 1 + rng.index(6);
+      for (std::size_t c = 0; c < len; ++c) name += kAlnum[rng.index(kAlnum.size())];
+    }
+    name += kSeparators[rng.index(kSeparators.size())];
+  }
+  return name;
+}
+
+// build_qrt sets slots from interned token hashes; the table must equal the
+// one add_keywords builds by tokenizing every name, at every table size, on
+// a population-wide interner (names repeat across leaves, so the name memo
+// answers most adds) and on an index's private one.
+TEST(SharedFileIndex, BuildQrtEqualsKeywordTable) {
+  util::Rng rng(2024);
+  std::vector<std::string> catalog;
+  for (int i = 0; i < 80; ++i) catalog.push_back(random_name(rng));
+  auto shared = std::make_shared<TokenInterner>();
+  for (int leaf = 0; leaf < 12; ++leaf) {
+    SharedFileIndex on_shared(shared);
+    SharedFileIndex on_private;
+    std::vector<std::string> names;
+    std::size_t files = rng.index(40);
+    for (std::size_t f = 0; f < files; ++f) {
+      names.push_back(catalog[rng.index(catalog.size())]);
+      on_shared.add(make_file(names.back(), 10));
+      on_private.add(make_file(names.back(), 10));
+    }
+    for (unsigned bits : {4u, 5u, 8u, 13u, 16u, 24u}) {
+      QueryRouteTable expected(bits);
+      for (const auto& name : names) expected.add_keywords(name);
+      EXPECT_EQ(on_shared.build_qrt(bits), expected) << "leaf " << leaf << ", bits " << bits;
+      EXPECT_EQ(on_private.build_qrt(bits), expected) << "leaf " << leaf << ", bits " << bits;
+    }
+  }
+}
+
+TEST(TokenInterner, SlotIsQrpHashAtEveryWidth) {
+  TokenInterner interner;
+  for (const char* token : {"ab", "blue", "x86", "2006", "keygen", "supercalifragilistic"}) {
+    const auto& ids = interner.intern_keywords(token);
+    ASSERT_EQ(ids.size(), 1u) << token;
+    for (unsigned bits = 1; bits <= 31; ++bits) {
+      EXPECT_EQ(interner.qrp_slot(ids[0], bits), qrp_hash(token, bits)) << token << " " << bits;
+    }
+  }
+}
+
+TEST(TokenInterner, TokenizesEachNameOnce) {
+  TokenInterner interner;
+  const auto& first = interner.intern_keywords("Blue Horizon - blue RAIN.mp3");
+  std::size_t tokens = interner.size();
+  EXPECT_EQ(tokens, 4u);  // blue, horizon, rain, mp3
+  EXPECT_EQ(first.size(), 4u);
+  const auto& again = interner.intern_keywords("Blue Horizon - blue RAIN.mp3");
+  EXPECT_EQ(&again, &first);  // the memoized ids, not a re-tokenization
+  EXPECT_EQ(interner.size(), tokens);
+  // The memo is keyed by the whole name: a differently spelled name with
+  // the same tokens gets the same ids, one differing only in its extension
+  // does not.
+  EXPECT_EQ(interner.intern_keywords("rain horizon BLUE mp3"), first);
+  EXPECT_NE(interner.intern_keywords("Blue Horizon - blue RAIN.avi"), first);
+}
+
 }  // namespace
 }  // namespace p2p::gnutella

@@ -412,7 +412,9 @@ TEST(ShardLookahead, WindowsDrainCleanlyAtBarriers) {
       h.engine.run_until(sim::SimTime::at_millis(barrier));
       EXPECT_EQ(h.engine.now(), sim::SimTime::at_millis(barrier));
       for (const auto& log : h.logs) {
-        if (!log.empty()) EXPECT_LE(log.back().at_ms, barrier);
+        if (!log.empty()) {
+          EXPECT_LE(log.back().at_ms, barrier);
+        }
       }
     }
     EXPECT_TRUE(h.engine.empty());

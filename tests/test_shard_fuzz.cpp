@@ -25,6 +25,19 @@ namespace {
 
 std::uint64_t mix(std::uint64_t x) { return util::splitmix64(x); }
 
+sim::ShardedEngine::Config engine_config(std::size_t shards, std::int64_t lookahead_ms) {
+  sim::ShardedEngine::Config cfg;
+  cfg.shards = shards;
+  cfg.lookahead = util::SimDuration::millis(lookahead_ms);
+  return cfg;
+}
+
+sim::ShardingConfig sharding(std::size_t shards) {
+  sim::ShardingConfig cfg;
+  cfg.shards = shards;
+  return cfg;
+}
+
 struct StormShape {
   std::uint32_t entities;
   std::int64_t lookahead_ms;
@@ -65,8 +78,7 @@ struct Storm {
 
   Storm(const StormShape& sh, std::size_t shards)
       : shape(sh),
-        engine(sim::ShardedEngine::Config{
-            shards, util::SimDuration::millis(sh.lookahead_ms)}),
+        engine(engine_config(shards, sh.lookahead_ms)),
         logs(sh.entities) {
     ids.reserve(sh.entities);
     for (std::uint32_t i = 0; i < sh.entities; ++i) {
@@ -240,7 +252,7 @@ class LegacyStorm {
  public:
   LegacyStorm(const LegacyShape& shape, std::size_t shards)
       : shape(shape),
-        net(shape.seed, sim::ShardingConfig{shards}),
+        net(shape.seed, sharding(shards)),
         logs(shape.nodes) {
     for (std::uint32_t i = 0; i < shape.nodes; ++i) {
       std::uint64_t h = mix(shape.seed ^ (0xad0ull << 40) ^ i);
