@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_count.h"
 #include "obs/metrics.h"
 #include "sim/shard_queue.h"
 #include "sim/task.h"
@@ -31,48 +32,12 @@
 #include "util/payload.h"
 #include "util/sim_time.h"
 
-// ---------------------------------------------------------------------------
-// Counting allocator hook: global operator new/delete so every heap byte the
-// measured loops touch is visible (std::function control blocks, vector
-// buffers, Payload reps). Aggregates only; never throws off hot paths.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-struct AllocSnapshot {
-  std::uint64_t calls;
-  std::uint64_t bytes;
-};
-
-AllocSnapshot alloc_now() {
-  return {g_alloc_calls.load(std::memory_order_relaxed),
-          g_alloc_bytes.load(std::memory_order_relaxed)};
-}
-
-AllocSnapshot alloc_since(const AllocSnapshot& start) {
-  AllocSnapshot now = alloc_now();
-  return {now.calls - start.calls, now.bytes - start.bytes};
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace p2p {
 namespace {
+
+using bench::AllocSnapshot;
+using bench::alloc_now;
+using bench::alloc_since;
 
 using Clock = std::chrono::steady_clock;
 

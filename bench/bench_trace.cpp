@@ -78,7 +78,7 @@ p2p::crawler::ResponseRecord make_record(std::uint64_t i) {
   static const char* kCategories[5] = {"music", "movies", "software", "images",
                                        "documents"};
   r.query_category = kCategories[h % 5];
-  r.query = "q" + std::to_string(h % 40);
+  r.query = 'q' + std::to_string(h % 40);
 
   std::uint64_t type_roll = h2 % 10;
   if (type_roll < 3) {

@@ -124,8 +124,9 @@ tier_sanitize() {
     # The zero-copy payload layer is all refcounts and aliasing — exactly
     # what asan/ubsan are for; the shard queue's slab recycling, the
     # word-at-a-time QRP codec and SHA-1 kernel, the fetch pipeline all
-    # three crawlers share and the OpenFT/KAD transfer codec ride along.
-    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec' \
+    # three crawlers share, the OpenFT/KAD transfer codec and the crawl-log
+    # merge ride along.
+    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec|MergeLogs' \
       -j "${JOBS}" --output-on-failure
   )
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "agents/population.h"
+#include "crawler/records.h"
 #include "crawler/workload.h"
 #include "files/file_types.h"
 #include "malware/catalogs.h"
@@ -769,7 +770,7 @@ void ShardStudy::on_response(std::uint8_t v, std::uint32_t qid,
   rec.query_category = def.category;
   rec.source_ip = peers_.ip(peer);
   rec.source_port = peers_.port(peer);
-  rec.source_key = (params_.limewire ? "G" : "F") +
+  rec.source_key = (params_.limewire ? 'G' : 'F') +
                    hex_key(h64(seed, kTagHostKey, peer), 16);
   rec.source_firewalled = peers_.has_flag(peer, sim::PeerTable::kFirewalled);
 
@@ -943,25 +944,14 @@ StudyResult ShardStudy::run(crawler::RecordSink* sink) {
   OBS_SPAN("study.finalize");
   StudyResult result;
   result.timeseries = recorder.take();
+  std::vector<std::vector<crawler::ResponseRecord>> logs;
   for (auto& vptr : vantages_) {
     Vantage& vantage = *vptr;
     vantage.stats.distinct_contents = vantage.downloaded_contents.size();
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(vantage.records.begin()),
-                          std::make_move_iterator(vantage.records.end()));
+    logs.push_back(std::move(vantage.records));
     result.crawl_stats += vantage.stats;
   }
-  if (vantages_.size() > 1) {
-    std::stable_sort(result.records.begin(), result.records.end(),
-                     [](const crawler::ResponseRecord& a,
-                        const crawler::ResponseRecord& b) { return a.at < b.at; });
-  }
-  for (std::size_t i = 0; i < result.records.size(); ++i) {
-    result.records[i].id = i + 1;
-  }
-  if (sink != nullptr) {
-    for (const auto& rec : result.records) sink->on_record(rec);
-  }
+  result.records = crawler::merge_logs(std::move(logs), sink);
   result.strain_catalog = strains_;
   result.events_executed = engine_->executed();
   result.messages_delivered = counters_.total(kSlotMessages);

@@ -126,9 +126,10 @@ struct StudySetup {
 /// crawlers and the crash driver; run the loop; finalize (study.finalize
 /// span) and fill the result.
 ///
-/// A single crawler streams its records into `record_sink` as it finalizes,
-/// in the order they land in the result. Several vantage logs are merged
-/// time-ordered with fresh ids and streamed after the merge.
+/// The crawlers' logs become the result's one log through
+/// crawler::merge_logs (time order, ties to the lower crawler index, ids
+/// 1..N), which also streams it into `record_sink` in that order — for one
+/// crawler as for several.
 ///
 /// perfbench/compose.cpp repeats this order call for call, so the order of
 /// add_node calls, rng draws and registry counters here is load-bearing.
@@ -166,9 +167,6 @@ StudyResult run_study(const Config& config, std::string_view network,
   if (injector) {
     for (auto& c : crawlers) c->set_fault_injector(injector.get());
   }
-  if (record_sink != nullptr && crawlers.size() == 1) {
-    crawlers[0]->set_record_sink(record_sink);
-  }
 
   agents::ChurnConfig churn_cfg = config.churn;
   churn_cfg.seed = config.seed ^ churn_salt;
@@ -196,25 +194,13 @@ StudyResult run_study(const Config& config, std::string_view network,
   OBS_SPAN("study.finalize");
   StudyResult result;
   result.timeseries = std::move(series);
+  std::vector<std::vector<crawler::ResponseRecord>> logs;
   for (auto& c : crawlers) {
     c->finalize();
-    auto records = c->take_records();
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(records.begin()),
-                          std::make_move_iterator(records.end()));
+    logs.push_back(c->take_records());
     result.crawl_stats += c->stats();
   }
-  if (crawlers.size() > 1) {
-    std::stable_sort(result.records.begin(), result.records.end(),
-                     [](const crawler::ResponseRecord& a,
-                        const crawler::ResponseRecord& b) { return a.at < b.at; });
-    for (std::size_t i = 0; i < result.records.size(); ++i) {
-      result.records[i].id = i + 1;
-    }
-    if (record_sink != nullptr) {
-      for (const auto& rec : result.records) record_sink->on_record(rec);
-    }
-  }
+  result.records = crawler::merge_logs(std::move(logs), record_sink);
   result.strain_catalog = pop.strain_catalog;
   result.events_executed = net.engine().executed();
   result.messages_delivered = net.messages_delivered();

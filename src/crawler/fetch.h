@@ -159,7 +159,6 @@ class FetchPipeline {
   /// The node whose timers drive queries, retries and watchdogs.
   void attach(sim::NodeId node) { node_ = node; }
 
-  void set_record_sink(RecordSink* sink) { record_sink_ = sink; }
   void set_fault_injector(fault::FaultInjector* injector) { faults_ = injector; }
 
   /// Begin the query schedule; after `config.duration` no more queries go
@@ -290,16 +289,7 @@ class FetchPipeline {
 
   /// Label every study record. Call once the event loop has drained past
   /// the crawl end.
-  void label() { label_records(records_, labels_); }
-  /// Stream every record through the record sink, when one is set.
-  void emit() const {
-    if (record_sink_ == nullptr) return;
-    for (const auto& rec : records_) record_sink_->on_record(rec);
-  }
-  void finalize() {
-    label();
-    emit();
-  }
+  void finalize() { label_records(records_, labels_); }
 
   [[nodiscard]] std::vector<ResponseRecord>& records() { return records_; }
   [[nodiscard]] const std::vector<ResponseRecord>& records() const { return records_; }
@@ -463,7 +453,6 @@ class FetchPipeline {
   std::vector<ResponseRecord> records_;
   CrawlStats stats_;
   std::uint64_t next_record_id_ = 1;
-  RecordSink* record_sink_ = nullptr;
 };
 
 }  // namespace p2p::crawler

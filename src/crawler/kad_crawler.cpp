@@ -1,7 +1,5 @@
 #include "crawler/kad_crawler.h"
 
-#include <algorithm>
-
 #include "files/hash.h"
 #include "files/transfer.h"
 #include "kad/id.h"
@@ -110,6 +108,17 @@ void KadCrawler::on_observation(std::size_t vantage, const kad::KadObservation& 
     rec.size = obs.size;
     rec.type_by_name = files::classify_extension(rec.filename);
     rec.content_key = files::hex(obs.md5);
+    // Ground truth labels the observation: a vantage cannot download from
+    // the peers it observes, but a published md5 matching a known
+    // malicious artifact identifies the strain (the digest-list check real
+    // scanners run). Honest shares from infected peers stay unlabeled —
+    // only the malicious publishes count.
+    auto it = honeypot_config_.malicious_digests.find(rec.content_key);
+    if (it != honeypot_config_.malicious_digests.end()) {
+      rec.infected = true;
+      rec.strain = it->second.first;
+      rec.strain_name = it->second.second;
+    }
     m.stores_observed.add(1);
   } else {
     m.queries_observed.add(1);
@@ -136,37 +145,12 @@ void KadCrawler::on_result(const kad::KadSearchEvent& event) {
 }
 
 void KadCrawler::finalize() {
-  // Label the active client's study records from the download/scan results.
-  fetch_.label();
-  // Label honeypot observations against the population's ground truth: a
-  // vantage cannot download from the peers it observes, but a published
-  // md5 matching a known malicious artifact identifies the strain (the
-  // digest-list check real scanners run). Honest shares from infected
-  // peers stay unlabeled — only the malicious publishes count.
-  auto& records = fetch_.records();
-  for (auto& vantage : vantage_records_) {
-    for (auto& rec : vantage) {
-      if (rec.content_key.empty()) continue;  // queries carry no content
-      auto it = honeypot_config_.malicious_digests.find(rec.content_key);
-      if (it == honeypot_config_.malicious_digests.end()) continue;
-      rec.infected = true;
-      rec.strain = it->second.first;
-      rec.strain_name = it->second.second;
-    }
-    records.insert(records.end(), std::make_move_iterator(vantage.begin()),
-                   std::make_move_iterator(vantage.end()));
-    vantage.clear();
-  }
-  // Merge the active and vantage streams into one time-ordered log.
-  // stable_sort keeps the concatenation order (active first, then vantages
-  // 0..N-1) on timestamp ties, so the merged log is deterministic.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const ResponseRecord& a, const ResponseRecord& b) {
-                     return a.at < b.at;
-                   });
-  std::uint64_t id = 1;
-  for (auto& rec : records) rec.id = id++;
-  fetch_.emit();
+  fetch_.finalize();
+  std::vector<std::vector<ResponseRecord>> logs;
+  logs.reserve(1 + vantage_records_.size());
+  logs.push_back(std::move(fetch_.records()));
+  for (auto& vantage : vantage_records_) logs.push_back(std::move(vantage));
+  fetch_.records() = merge_logs(std::move(logs));
 }
 
 }  // namespace p2p::crawler

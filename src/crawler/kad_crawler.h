@@ -11,11 +11,13 @@
 // (arXiv:0904.3215): passive KadNodes that advertise bait content (the
 // most popular catalog titles) and log every STORE and FIND_VALUE they
 // attract. Each observation becomes a ResponseRecord on network
-// "kad.honeypot/NN", labeled at finalize() against the population's
+// "kad.honeypot/NN", labeled as it is logged against the population's
 // ground-truth infection map — the raw material for the E9/E10 coverage
-// and bias analysis (core::kad_coverage). All records, active and
-// honeypot, stream through the RecordSink so `--record`/`--replay`
-// round-trips the whole measurement byte-identically.
+// and bias analysis (core::kad_coverage). finalize() merges the active log
+// and the vantage logs into one (crawler::merge_logs: time order, ties to
+// the active log and then vantages 0..N-1, ids 1..N); the study streams
+// that log into its RecordSink, so `--record`/`--replay` round-trips the
+// whole measurement byte-identically.
 #pragma once
 
 #include <memory>
@@ -58,12 +60,10 @@ class KadCrawler {
              KadHoneypotConfig honeypots);
 
   void start() { fetch_.start(); }
-  /// Apply content labels to the active records, label honeypot
-  /// observations from ground truth, merge both streams in time order,
-  /// and push every record through the sink (when set).
+  /// Apply content labels to the active records and merge them with the
+  /// honeypot observations into one time-ordered log, numbered 1..N.
   void finalize();
 
-  void set_record_sink(RecordSink* sink) { fetch_.set_record_sink(sink); }
   void set_fault_injector(fault::FaultInjector* injector) {
     fetch_.set_fault_injector(injector);
   }

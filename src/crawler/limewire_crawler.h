@@ -28,13 +28,8 @@ class LimewireCrawler {
   void start() { fetch_.start(); }
 
   /// Apply content labels to all records. Call once the event loop has
-  /// drained past the crawl end. Streams every joined record through the
-  /// record sink, when one is set.
+  /// drained past the crawl end.
   void finalize() { fetch_.finalize(); }
-
-  /// Install a capture sink (not owned; may be null). Must outlive
-  /// finalize().
-  void set_record_sink(RecordSink* sink) { fetch_.set_record_sink(sink); }
 
   /// Install the fault injector driving download stalls and scanner
   /// timeouts (not owned; may be null = no injected crawler faults).

@@ -22,13 +22,9 @@ class OpenFtCrawler {
                 std::shared_ptr<const malware::Scanner> scanner, CrawlConfig config);
 
   void start() { fetch_.start(); }
-  /// Apply content labels; streams every joined record through the record
-  /// sink, when one is set.
+  /// Apply content labels. Call once the event loop has drained past the
+  /// crawl end.
   void finalize() { fetch_.finalize(); }
-
-  /// Install a capture sink (not owned; may be null). Must outlive
-  /// finalize().
-  void set_record_sink(RecordSink* sink) { fetch_.set_record_sink(sink); }
 
   /// Install the fault injector driving download stalls and scanner
   /// timeouts (not owned; may be null = no injected crawler faults).

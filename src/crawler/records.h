@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "files/file_types.h"
 #include "malware/strain.h"
@@ -53,13 +54,23 @@ struct ResponseRecord {
   }
 };
 
-/// Consumer of finalized records. Crawlers stream every record through the
-/// sink (if set) as it is joined with its download+scan outcome during
-/// finalize() — the capture hook the trace store (src/trace) plugs into.
+/// Consumer of a study's finished crawl log, fed one record at a time in
+/// log order by merge_logs — the capture hook the trace store (src/trace)
+/// plugs into.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
   virtual void on_record(const ResponseRecord& record) = 0;
 };
+
+/// The one rule that turns a study's record streams (one per crawler or
+/// vantage, each in time order) into its crawl log: a k-way merge by time
+/// that breaks ties by stream index, ids renumbered 1..N, and every record
+/// sent to `sink` (when not null) in log order. The inputs are consumed; a
+/// lone non-empty stream is moved through without a copy. Throws
+/// std::logic_error, before anything reaches the sink, if a stream is not
+/// time-ordered.
+[[nodiscard]] std::vector<ResponseRecord> merge_logs(
+    std::vector<std::vector<ResponseRecord>> streams, RecordSink* sink = nullptr);
 
 }  // namespace p2p::crawler

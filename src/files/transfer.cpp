@@ -5,20 +5,12 @@
 
 namespace p2p::files {
 
-std::string_view as_view(util::ByteView bytes) {
-  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
-}
-
-util::Bytes text_bytes(std::string_view text) {
-  return util::Bytes(text.begin(), text.end());
-}
-
 util::Bytes make_get(const Digest16& md5) {
-  return text_bytes("GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
+  return util::text_bytes("GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
 }
 
 std::optional<Digest16> parse_get(util::ByteView wire) {
-  std::string_view text = as_view(wire);
+  std::string_view text = util::as_view(wire);
   if (!text.starts_with("GET /")) return std::nullopt;
   std::size_t space = text.find(' ', 5);
   if (space == std::string_view::npos) return std::nullopt;
@@ -33,13 +25,13 @@ util::Bytes make_response(int status, const util::Bytes* body) {
   std::string head = "HTTP/1.1 " + std::to_string(status) +
                      (status == 200 ? " OK" : " Not Found") + "\r\nContent-Length: " +
                      std::to_string(body ? body->size() : 0) + "\r\n\r\n";
-  util::Bytes out = text_bytes(head);
+  util::Bytes out = util::text_bytes(head);
   if (body) out.insert(out.end(), body->begin(), body->end());
   return out;
 }
 
 std::optional<ParsedResponse> parse_response(util::ByteView wire) {
-  std::string_view text = as_view(wire);
+  std::string_view text = util::as_view(wire);
   if (!text.starts_with("HTTP/1.1 ")) return std::nullopt;
   std::size_t head_end = text.find("\r\n\r\n");
   if (head_end == std::string_view::npos) return std::nullopt;

@@ -12,10 +12,6 @@
 
 namespace p2p::files {
 
-/// Wire bytes as text (no copy).
-[[nodiscard]] std::string_view as_view(util::ByteView bytes);
-[[nodiscard]] util::Bytes text_bytes(std::string_view text);
-
 [[nodiscard]] util::Bytes make_get(const Digest16& md5);
 /// The requested digest, or nullopt for anything but a well-formed GET of a
 /// 32-hex-digit digest.

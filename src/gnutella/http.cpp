@@ -8,9 +8,7 @@ namespace p2p::gnutella {
 
 namespace {
 
-std::string_view as_view(util::ByteView b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
+using util::as_view;
 
 /// Split "HEAD\r\nName: Value\r\n...\r\n\r\n<rest>" into (head lines, body).
 struct SplitMessage {

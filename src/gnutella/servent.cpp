@@ -55,13 +55,8 @@ struct GnutellaMetrics {
   static GnutellaMetrics& get() { return obs::bound_metrics<GnutellaMetrics>(); }
 };
 
-std::string_view as_view(util::ByteView b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
-util::Bytes text_bytes(std::string_view s) {
-  return util::Bytes(s.begin(), s.end());
-}
+using util::as_view;
+using util::text_bytes;
 
 std::string header_value(std::string_view text, std::string_view name) {
   // Case-sensitive match is fine: we emit our own handshakes.

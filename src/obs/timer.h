@@ -1,22 +1,13 @@
-// Scoped timers feeding histograms.
-//
-// Two clocks, two purposes:
-//  * ScopedWallTimer — std::chrono::steady_clock, for the wall-clock cost of
-//    hot paths (scan latency, per-event execution). Non-deterministic; pair
-//    it with a HistogramSpec marked wall_clock so deterministic exports
-//    skip it.
-//  * ScopedSimTimer — util::SimTime, for simulated latencies. Sim time only
-//    advances between events, so this is templated on a clock callable
-//    (e.g. [&net] { return net.now(); }) and is useful across re-entrant
-//    scopes; for latencies spanning events (query → hit), record the
-//    difference into the histogram directly.
+// Scoped wall-clock timer feeding a histogram: std::chrono::steady_clock,
+// for the wall-clock cost of hot paths (scan latency, per-event execution).
+// Non-deterministic; pair it with a HistogramSpec marked wall_clock so
+// deterministic exports skip it. Simulated latencies (query → hit) span
+// events, so callers record their difference into a histogram directly.
 #pragma once
 
 #include <chrono>
-#include <utility>
 
 #include "obs/metrics.h"
-#include "util/sim_time.h"
 
 namespace p2p::obs {
 
@@ -41,29 +32,6 @@ class ScopedWallTimer {
  public:
   ScopedWallTimer(const ScopedWallTimer&) = delete;
   ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-};
-
-/// Records elapsed simulated milliseconds between construction and
-/// destruction, as observed through `clock` (any callable returning
-/// util::SimTime).
-template <typename ClockFn>
-class ScopedSimTimer {
- public:
-#ifndef P2P_OBS_DISABLED
-  ScopedSimTimer(Histogram& hist, ClockFn clock)
-      : hist_(&hist), clock_(std::move(clock)), start_(clock_()) {}
-  ~ScopedSimTimer() { hist_->record(clock_() - start_); }
-
- private:
-  Histogram* hist_;
-  ClockFn clock_;
-  util::SimTime start_;
-#else
-  ScopedSimTimer(Histogram&, ClockFn) {}
-#endif
- public:
-  ScopedSimTimer(const ScopedSimTimer&) = delete;
-  ScopedSimTimer& operator=(const ScopedSimTimer&) = delete;
 };
 
 }  // namespace p2p::obs

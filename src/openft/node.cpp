@@ -34,7 +34,7 @@ struct OpenFtMetrics {
 util::Bytes make_push_delivery(const files::Digest16& md5, const util::Bytes& body) {
   std::string head =
       "PUSH " + files::hex(md5) + " " + std::to_string(body.size()) + "\r\n\r\n";
-  util::Bytes out = files::text_bytes(head);
+  util::Bytes out = util::text_bytes(head);
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
@@ -45,7 +45,7 @@ struct ParsedPush {
 };
 
 std::optional<ParsedPush> parse_push_delivery(util::ByteView wire) {
-  std::string_view text = files::as_view(wire);
+  std::string_view text = util::as_view(wire);
   if (!text.starts_with("PUSH ")) return std::nullopt;
   std::size_t head_end = text.find("\r\n\r\n");
   if (head_end == std::string_view::npos) return std::nullopt;
@@ -319,7 +319,7 @@ void FtNode::on_message(sim::ConnId conn, const util::Payload& payload) {
 
   switch (state.kind) {
     case ConnKind::kUnknown: {
-      std::string_view text = files::as_view(payload);
+      std::string_view text = util::as_view(payload);
       if (text.starts_with("GET ")) {
         state.kind = ConnKind::kTransferIn;
         handle_transfer_message(conn, state, payload);
@@ -694,7 +694,7 @@ void FtNode::handle_push_request(sim::ConnId conn, const PushRequest& req) {
 
 void FtNode::handle_transfer_message(sim::ConnId conn, ConnState& state,
                                      util::ByteView wire) {
-  std::string_view text = files::as_view(wire);
+  std::string_view text = util::as_view(wire);
 
   if (text.starts_with("GET ")) {
     auto md5 = files::parse_get(wire);

@@ -35,18 +35,10 @@ std::uint64_t mix_key(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0) {
   return util::splitmix64(state);
 }
 
-ShardedEngine::Config engine_config(ShardingConfig sharding) {
-  ShardedEngine::Config cfg;
-  cfg.shards = sharding.shards;
-  cfg.lookahead = sharding.lookahead;
-  cfg.worker_context = std::move(sharding.worker_context);
-  return cfg;
-}
-
 }  // namespace
 
 Network::Network(std::uint64_t seed, ShardingConfig sharding)
-    : engine_(engine_config(sharding)), seed_(seed), lookahead_(sharding.lookahead) {
+    : engine_(sharding), seed_(seed), lookahead_(sharding.lookahead) {
   // Stamp log lines with this network's simulated clock (see util/log.h).
   util::Logger::instance().set_sim_clock([this] { return now(); });
 }
@@ -306,6 +298,15 @@ bool Network::close_half(NodeId id, Half& half) {
   return was_open;
 }
 
+bool Network::fail_initiated(NodeId from, ConnId cid, NodeId to) {
+  Half* h = find_half(from, cid);
+  if (!h || h->closed) return false;
+  close_half(from, *h);
+  if (Node* n = slots_[from].node.get()) n->on_connection_failed(cid, to);
+  erase_half(from, cid);
+  return true;
+}
+
 ConnId Network::connect(NodeId from, NodeId to) {
   metrics_.connects_attempted.add(1);
   Slot& fs = slots_[from];
@@ -323,12 +324,7 @@ ConnId Network::connect(NodeId from, NodeId to) {
   if (to >= slots_.size()) {
     // Unknown target: fail back to the initiator after one latency.
     engine_.post(fs.entity, now() + latency, [this, cid, from, to] {
-      Half* h = find_half(from, cid);
-      if (!h || h->closed) return;
-      close_half(from, *h);
-      metrics_.connects_failed.add(1);
-      if (Node* n = slots_[from].node.get()) n->on_connection_failed(cid, to);
-      erase_half(from, cid);
+      if (fail_initiated(from, cid, to)) metrics_.connects_failed.add(1);
     });
     return cid;
   }
@@ -343,13 +339,8 @@ ConnId Network::connect(NodeId from, NodeId to) {
     SimDuration lat = SimDuration::millis(lat_ms);
     if (refused) {
       metrics_.connects_failed.add(1);
-      engine_.post(slots_[from].entity, now() + lat, [this, cid, from, to] {
-        Half* h = find_half(from, cid);
-        if (!h || h->closed) return;
-        close_half(from, *h);
-        if (Node* n = slots_[from].node.get()) n->on_connection_failed(cid, to);
-        erase_half(from, cid);
-      });
+      engine_.post(slots_[from].entity, now() + lat,
+                   [this, cid, from, to] { fail_initiated(from, cid, to); });
       return;
     }
     Half th;

@@ -96,17 +96,12 @@ class MessageFaultHook {
   virtual SendFaults on_send_keyed(util::Payload& payload, std::uint64_t key) = 0;
 };
 
-/// Executor partition for a Network: the number of sim::ShardedEngine
-/// shards (0 means 1). Output is byte-identical at every shard count.
-struct ShardingConfig {
-  std::size_t shards = 1;
-  /// Conservative lookahead window; connection latencies are clamped to at
-  /// least this, so it must not exceed the intended latency floor.
-  SimDuration lookahead = SimDuration::millis(20);
-  /// Forwarded to ShardedEngine::Config::worker_context: installs host
-  /// thread-state (e.g. a ScopedMetricsRegistry) on spawned workers.
-  std::function<std::shared_ptr<void>()> worker_context;
-};
+/// Executor partition for a Network: its sim::ShardedEngine's settings
+/// (shards, 0 means 1; the lookahead, which also clamps every connection
+/// latency from below, so it must not exceed the intended latency floor;
+/// the worker thread context). Output is byte-identical at every shard
+/// count.
+using ShardingConfig = ShardedEngine::Config;
 
 /// Behaviour attached to a simulated host. Protocol servents subclass this.
 class Node {
@@ -368,6 +363,10 @@ class Network {
   /// initiator-owned connections_closed counter. Returns true if the half
   /// was open before the call.
   bool close_half(NodeId id, Half& half);
+  /// Fail connection `cid` back to its initiator `from`: close its half,
+  /// call on_connection_failed, drop the half. False (and nothing done)
+  /// when the half is already gone or closed.
+  bool fail_initiated(NodeId from, ConnId cid, NodeId to);
 
   ShardedEngine engine_;
   std::uint64_t seed_ = 0;

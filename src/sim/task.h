@@ -110,10 +110,12 @@ class Task {
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
+  // An empty callable writes no byte of storage_, so it keeps manage_ (a
+  // no-op move) rather than have a raw copy read the unwritten buffer.
   template <typename Fn>
   static constexpr bool trivial_inline() {
     return std::is_trivially_copyable_v<Fn> &&
-           std::is_trivially_destructible_v<Fn>;
+           std::is_trivially_destructible_v<Fn> && !std::is_empty_v<Fn>;
   }
 
   void move_from(Task& other) noexcept {

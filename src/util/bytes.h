@@ -103,6 +103,14 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Wire bytes as text (no copy), and text as wire bytes.
+[[nodiscard]] inline std::string_view as_view(ByteView bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+[[nodiscard]] inline Bytes text_bytes(std::string_view text) {
+  return Bytes(text.begin(), text.end());
+}
+
 /// Hex encoding of a byte span, lowercase, no separators.
 [[nodiscard]] std::string to_hex(std::span<const std::uint8_t> data);
 

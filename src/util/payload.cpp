@@ -13,7 +13,8 @@ Payload::Payload(Bytes bytes) {
 }
 
 Payload Payload::copy(std::span<const std::uint8_t> data) {
-  return Payload(Bytes(data.begin(), data.end()));
+  if (data.empty()) return Payload();
+  return Payload(new Rep(Bytes(data.begin(), data.end())));
 }
 
 Payload& Payload::operator=(const Payload& other) noexcept {

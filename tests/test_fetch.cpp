@@ -236,11 +236,15 @@ TEST(FetchPipeline, FinalizeLabelsStudyRecordsAndStreamsThemToTheSink) {
     void on_record(const ResponseRecord& r) override { seen.push_back(r); }
   } sink;
   Rig rig(FetchPolicy{});
-  rig.pipe.set_record_sink(&sink);
   rig.respond("payload", "a");
   rig.respond("other", "b");
   rig.resolve(0, /*success=*/true, "payload");
   rig.pipe.finalize();
+  // The pipeline only labels; the study's one merge streams the log.
+  std::vector<std::vector<ResponseRecord>> logs;
+  logs.push_back(std::move(rig.pipe.records()));
+  auto log = merge_logs(std::move(logs), &sink);
+  ASSERT_EQ(log.size(), 2u);
   ASSERT_EQ(sink.seen.size(), 2u);
   EXPECT_EQ(sink.seen[0].id, 1u);
   EXPECT_EQ(sink.seen[0].network, "test");

@@ -370,7 +370,7 @@ TEST(KadSwarm, LookupsConvergeAndSearchFindsPublishedContent) {
     profile.downlink_bps = 800'000;
 
     kad::KadConfig cfg;
-    cfg.alias = "n" + std::to_string(i);
+    cfg.alias = 'n' + std::to_string(i);
     auto content = catalog->content(i % catalog->size());
     std::vector<kad::KadShare> shares{
         kad::KadShare{content, "/shared/" + content->name()}};

@@ -51,7 +51,7 @@ TEST(ObsTrace, RingOverwritesOldest) {
   TraceBuffer buf(4);
   buf.enable_all();
   for (int i = 0; i < 10; ++i) {
-    buf.record(Component::kSim, "e" + std::to_string(i), at(i), {});
+    buf.record(Component::kSim, 'e' + std::to_string(i), at(i), {});
   }
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.total_recorded(), 10u);

@@ -107,11 +107,11 @@ std::string build_capture(util::Rng& rng, const std::string& name) {
     r.at = util::SimTime::at_millis(
         static_cast<std::int64_t>(i) * 120'000 +
         static_cast<std::int64_t>(rng.index(120'000)));
-    r.query = "q";
+    r.query = 'q';
     r.filename = "f.exe";
     r.size = 1000 + i;
-    r.content_key = "c" + std::to_string(i % 9);
-    r.source_key = "s" + std::to_string(i % 5);
+    r.content_key = 'c' + std::to_string(i % 9);
+    r.source_key = 's' + std::to_string(i % 5);
     writer.on_record(r);
   }
   writer.close();

@@ -9,12 +9,12 @@
 namespace p2p::files {
 namespace {
 
-util::Bytes wire(const std::string& text) { return text_bytes(text); }
+util::Bytes wire(const std::string& text) { return util::text_bytes(text); }
 
 TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   Digest16 md5 = files::md5(wire("payload"));
   util::Bytes get = make_get(md5);
-  EXPECT_EQ(std::string(as_view(get)), "GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(std::string(util::as_view(get)), "GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
   auto parsed_get = parse_get(get);
   ASSERT_TRUE(parsed_get.has_value());
   EXPECT_EQ(*parsed_get, md5);
@@ -24,7 +24,7 @@ TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   body.push_back(0x00);
   body.push_back(0x90);
   util::Bytes ok = make_response(200, &body);
-  EXPECT_TRUE(as_view(ok).starts_with("HTTP/1.1 200 OK\r\nContent-Length: " +
+  EXPECT_TRUE(util::as_view(ok).starts_with("HTTP/1.1 200 OK\r\nContent-Length: " +
                                       std::to_string(body.size()) + "\r\n\r\n"));
   auto parsed_ok = parse_response(ok);
   ASSERT_TRUE(parsed_ok.has_value());
@@ -32,7 +32,7 @@ TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   EXPECT_EQ(parsed_ok->body, body);
 
   util::Bytes missing = make_response(404, nullptr);
-  EXPECT_EQ(std::string(as_view(missing)),
+  EXPECT_EQ(std::string(util::as_view(missing)),
             "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
   auto parsed_missing = parse_response(missing);
   ASSERT_TRUE(parsed_missing.has_value());
