@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops: signature
-// scanning, archive-aware scanning, hashing, wire serialization/parsing,
+// scanning, archive-aware scanning, hashing and checksums, trace-block
+// decoding, wire serialization/parsing,
 // QRP hashing/matching, leaf QRP table builds, GUID hashing, and keyword
 // matching. These bound the throughput of the measurement pipeline itself.
 #include <benchmark/benchmark.h>
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,9 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "trace/reader.h"
+#include "trace/writer.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -55,6 +60,61 @@ void BM_Md5(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// Reads an in-memory trace of 64 full 256-record blocks of KAD-shaped
+// records: per block, one CRC over the payload and 256 record decodes
+// handed out through TraceReader::next. Reported per record.
+void BM_TraceDecodeBlock(benchmark::State& state) {
+  constexpr std::size_t kBlocks = 64;
+  constexpr std::size_t kPerBlock = 256;
+  std::ostringstream file(std::ios::binary);
+  {
+    trace::TraceHeader header;
+    header.network = "kad";
+    trace::TraceWriterOptions options;
+    options.records_per_block = kPerBlock;
+    trace::TraceWriter writer(file, header, options);
+    util::Rng rng(4);
+    for (std::size_t i = 0; i < kBlocks * kPerBlock; ++i) {
+      crawler::ResponseRecord r;
+      r.id = i + 1;
+      r.network = "kad.honeypot/" + std::to_string(rng.next() % 16);
+      r.at = util::SimTime::at_millis(static_cast<std::int64_t>(i) * 1'300);
+      r.query = "keyword " + std::to_string(rng.next() % 500);
+      r.query_category = "honeypot";
+      r.filename = "shared file " + std::to_string(rng.next() % 20'000) + ".exe";
+      r.size = 40'000 + rng.next() % 9'000'000;
+      r.source_ip = util::Ipv4(static_cast<std::uint32_t>(rng.next()));
+      r.source_port = 4672;
+      r.source_key = r.source_ip.str() + ":4672";
+      auto digest = random_bytes(16, rng.next());
+      r.content_key = util::to_hex(digest);
+      writer.on_record(r);
+    }
+    writer.close();
+  }
+  const std::string bytes = std::move(file).str();
+  crawler::ResponseRecord rec;
+  for (auto _ : state) {
+    std::istringstream in(bytes, std::ios::binary);
+    trace::TraceReader reader(in);
+    while (reader.next(rec)) benchmark::DoNotOptimize(rec.id);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBlocks *
+                                                    kPerBlock));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_TraceDecodeBlock);
 
 void BM_ScanClean(benchmark::State& state) {
   auto catalog = malware::limewire_catalog();

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/replay.h"
 #include "core/report.h"
@@ -243,14 +244,14 @@ int main(int argc, char** argv) {
   char buf[1024];
   int n = std::snprintf(
       buf, sizeof(buf),
-      "{\"format\":\"p2p-bench-trace-1\",\"records\":%llu,"
+      "{\"format\":\"p2p-bench-trace-1\",\"cores\":%u,\"records\":%llu,"
       "\"simulated_days\":%lld,\"segments\":%llu,\"bytes\":%llu,"
       "\"record_records_per_sec\":%.0f,"
       "\"replay\":[{\"jobs\":1,\"records_per_sec\":%.0f},"
       "{\"jobs\":4,\"records_per_sec\":%.0f}],"
       "\"reports_identical\":%s,\"windows\":%zu,\"peak_rss_mib\":%.0f,"
       "\"floors\":{\"replay_records_per_sec\":%.0f,\"peak_rss_mib\":%.0f}}\n",
-      static_cast<unsigned long long>(kRecords),
+      std::thread::hardware_concurrency(), static_cast<unsigned long long>(kRecords),
       static_cast<long long>(kDays),
       static_cast<unsigned long long>(segments),
       static_cast<unsigned long long>(bytes), record_rps, replay_rps[0],

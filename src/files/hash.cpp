@@ -137,22 +137,34 @@ Digest20 Sha1::finish() {
 // ---------------------------------------------------------------------------
 
 namespace {
-// Per-round shift amounts and sine-derived constants from RFC 1321.
-constexpr int kMd5Shift[64] = {7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-                               5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-                               4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-                               6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-constexpr std::uint32_t kMd5K[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
-    0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
-    0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
-    0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed,
-    0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
-    0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244,
-    0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
-    0xeb86d391};
+// MD5 round functions (RFC 1321 section 3.4), in forms without branches.
+struct Md5F {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return d ^ (b & (c ^ d));
+  }
+};
+struct Md5G {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return c ^ (d & (b ^ c));
+  }
+};
+struct Md5H {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return b ^ c ^ d;
+  }
+};
+struct Md5I {
+  std::uint32_t operator()(std::uint32_t b, std::uint32_t c, std::uint32_t d) const {
+    return c ^ (b | ~d);
+  }
+};
+
+/// One step [abcd k s i] of RFC 1321: a = b + ((a + F(b,c,d) + X[k] + T[i]) <<< s).
+template <typename F>
+void md5_step(std::uint32_t& a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+              std::uint32_t x, int s, std::uint32_t t) {
+  a = b + rotl32(a + F{}(b, c, d) + x + t, s);
+}
 }  // namespace
 
 Md5::Md5() {
@@ -168,29 +180,77 @@ void Md5::process_block(const std::uint8_t* block) {
     m[i] = std::uint32_t{block[i * 4]} | (std::uint32_t{block[i * 4 + 1]} << 8) |
            (std::uint32_t{block[i * 4 + 2]} << 16) | (std::uint32_t{block[i * 4 + 3]} << 24);
   }
+  // The 64 steps written out as in RFC 1321: literal message indices,
+  // shifts and sine-derived constants, registers renamed instead of moved.
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    f = f + a + kMd5K[i] + m[g];
-    a = d;
-    d = c;
-    c = b;
-    b = b + rotl32(f, kMd5Shift[i]);
-  }
+  // Round 1.
+  md5_step<Md5F>(a, b, c, d, m[0], 7, 0xd76aa478);
+  md5_step<Md5F>(d, a, b, c, m[1], 12, 0xe8c7b756);
+  md5_step<Md5F>(c, d, a, b, m[2], 17, 0x242070db);
+  md5_step<Md5F>(b, c, d, a, m[3], 22, 0xc1bdceee);
+  md5_step<Md5F>(a, b, c, d, m[4], 7, 0xf57c0faf);
+  md5_step<Md5F>(d, a, b, c, m[5], 12, 0x4787c62a);
+  md5_step<Md5F>(c, d, a, b, m[6], 17, 0xa8304613);
+  md5_step<Md5F>(b, c, d, a, m[7], 22, 0xfd469501);
+  md5_step<Md5F>(a, b, c, d, m[8], 7, 0x698098d8);
+  md5_step<Md5F>(d, a, b, c, m[9], 12, 0x8b44f7af);
+  md5_step<Md5F>(c, d, a, b, m[10], 17, 0xffff5bb1);
+  md5_step<Md5F>(b, c, d, a, m[11], 22, 0x895cd7be);
+  md5_step<Md5F>(a, b, c, d, m[12], 7, 0x6b901122);
+  md5_step<Md5F>(d, a, b, c, m[13], 12, 0xfd987193);
+  md5_step<Md5F>(c, d, a, b, m[14], 17, 0xa679438e);
+  md5_step<Md5F>(b, c, d, a, m[15], 22, 0x49b40821);
+  // Round 2.
+  md5_step<Md5G>(a, b, c, d, m[1], 5, 0xf61e2562);
+  md5_step<Md5G>(d, a, b, c, m[6], 9, 0xc040b340);
+  md5_step<Md5G>(c, d, a, b, m[11], 14, 0x265e5a51);
+  md5_step<Md5G>(b, c, d, a, m[0], 20, 0xe9b6c7aa);
+  md5_step<Md5G>(a, b, c, d, m[5], 5, 0xd62f105d);
+  md5_step<Md5G>(d, a, b, c, m[10], 9, 0x02441453);
+  md5_step<Md5G>(c, d, a, b, m[15], 14, 0xd8a1e681);
+  md5_step<Md5G>(b, c, d, a, m[4], 20, 0xe7d3fbc8);
+  md5_step<Md5G>(a, b, c, d, m[9], 5, 0x21e1cde6);
+  md5_step<Md5G>(d, a, b, c, m[14], 9, 0xc33707d6);
+  md5_step<Md5G>(c, d, a, b, m[3], 14, 0xf4d50d87);
+  md5_step<Md5G>(b, c, d, a, m[8], 20, 0x455a14ed);
+  md5_step<Md5G>(a, b, c, d, m[13], 5, 0xa9e3e905);
+  md5_step<Md5G>(d, a, b, c, m[2], 9, 0xfcefa3f8);
+  md5_step<Md5G>(c, d, a, b, m[7], 14, 0x676f02d9);
+  md5_step<Md5G>(b, c, d, a, m[12], 20, 0x8d2a4c8a);
+  // Round 3.
+  md5_step<Md5H>(a, b, c, d, m[5], 4, 0xfffa3942);
+  md5_step<Md5H>(d, a, b, c, m[8], 11, 0x8771f681);
+  md5_step<Md5H>(c, d, a, b, m[11], 16, 0x6d9d6122);
+  md5_step<Md5H>(b, c, d, a, m[14], 23, 0xfde5380c);
+  md5_step<Md5H>(a, b, c, d, m[1], 4, 0xa4beea44);
+  md5_step<Md5H>(d, a, b, c, m[4], 11, 0x4bdecfa9);
+  md5_step<Md5H>(c, d, a, b, m[7], 16, 0xf6bb4b60);
+  md5_step<Md5H>(b, c, d, a, m[10], 23, 0xbebfbc70);
+  md5_step<Md5H>(a, b, c, d, m[13], 4, 0x289b7ec6);
+  md5_step<Md5H>(d, a, b, c, m[0], 11, 0xeaa127fa);
+  md5_step<Md5H>(c, d, a, b, m[3], 16, 0xd4ef3085);
+  md5_step<Md5H>(b, c, d, a, m[6], 23, 0x04881d05);
+  md5_step<Md5H>(a, b, c, d, m[9], 4, 0xd9d4d039);
+  md5_step<Md5H>(d, a, b, c, m[12], 11, 0xe6db99e5);
+  md5_step<Md5H>(c, d, a, b, m[15], 16, 0x1fa27cf8);
+  md5_step<Md5H>(b, c, d, a, m[2], 23, 0xc4ac5665);
+  // Round 4.
+  md5_step<Md5I>(a, b, c, d, m[0], 6, 0xf4292244);
+  md5_step<Md5I>(d, a, b, c, m[7], 10, 0x432aff97);
+  md5_step<Md5I>(c, d, a, b, m[14], 15, 0xab9423a7);
+  md5_step<Md5I>(b, c, d, a, m[5], 21, 0xfc93a039);
+  md5_step<Md5I>(a, b, c, d, m[12], 6, 0x655b59c3);
+  md5_step<Md5I>(d, a, b, c, m[3], 10, 0x8f0ccc92);
+  md5_step<Md5I>(c, d, a, b, m[10], 15, 0xffeff47d);
+  md5_step<Md5I>(b, c, d, a, m[1], 21, 0x85845dd1);
+  md5_step<Md5I>(a, b, c, d, m[8], 6, 0x6fa87e4f);
+  md5_step<Md5I>(d, a, b, c, m[15], 10, 0xfe2ce6e0);
+  md5_step<Md5I>(c, d, a, b, m[6], 15, 0xa3014314);
+  md5_step<Md5I>(b, c, d, a, m[13], 21, 0x4e0811a1);
+  md5_step<Md5I>(a, b, c, d, m[4], 6, 0xf7537e82);
+  md5_step<Md5I>(d, a, b, c, m[11], 10, 0xbd3af235);
+  md5_step<Md5I>(c, d, a, b, m[2], 15, 0x2ad7d2bb);
+  md5_step<Md5I>(b, c, d, a, m[9], 21, 0xeb86d391);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
@@ -238,30 +298,6 @@ Digest16 Md5::finish() {
     out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i] >> 24);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, as used by ZIP)
-// ---------------------------------------------------------------------------
-
-namespace {
-struct Crc32Table {
-  std::uint32_t t[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-  }
-};
-const Crc32Table kCrcTable;
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = kCrcTable.t[(c ^ b) & 0xFF] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
 }
 
 Digest20 sha1(std::span<const std::uint8_t> data) {

@@ -2,8 +2,8 @@
 //
 // SHA-1 is what Gnutella uses for file identity (HUGE/urn:sha1 in QueryHits
 // and LimeWire's hash-based filter lists); MD5 is what giFT/OpenFT uses for
-// share digests; CRC-32 is required by the ZIP container format. All three
-// are implemented here from the specs — no external dependencies.
+// share digests. Both are implemented here from the specs — no external
+// dependencies. (The ZIP container's CRC-32 is util::crc32.)
 #pragma once
 
 #include <array>
@@ -53,7 +53,6 @@ class Md5 {
 /// One-shot helpers.
 [[nodiscard]] Digest20 sha1(std::span<const std::uint8_t> data);
 [[nodiscard]] Digest16 md5(std::span<const std::uint8_t> data);
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Lowercase hex of a digest.
 [[nodiscard]] std::string hex(const Digest20& d);

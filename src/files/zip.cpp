@@ -26,7 +26,7 @@ util::Bytes zip_pack(const std::vector<ZipMember>& members) {
 
   for (const auto& m : members) {
     auto offset = static_cast<std::uint32_t>(w.size());
-    std::uint32_t crc = crc32(m.data);
+    std::uint32_t crc = util::crc32(m.data);
     auto size = static_cast<std::uint32_t>(m.data.size());
     w.u32le(kLocalSig);
     w.u16le(20);  // version needed
@@ -104,7 +104,7 @@ std::optional<std::vector<ZipMember>> zip_unpack(const util::Bytes& archive) {
       std::string name = r.str(nlen);
       r.skip(elen);
       util::Bytes data = r.bytes(csize);
-      if (crc32(data) != crc) return std::nullopt;
+      if (util::crc32(data) != crc) return std::nullopt;
       out.push_back(ZipMember{std::move(name), std::move(data)});
     }
   } catch (const util::BufferUnderflow&) {

@@ -95,29 +95,27 @@ void encode_record(util::ByteWriter& w, const crawler::ResponseRecord& rec) {
   w.u8(static_cast<std::uint8_t>(rec.type_by_magic));
 }
 
-crawler::ResponseRecord decode_record(util::ByteReader& r) {
-  crawler::ResponseRecord rec;
+void decode_record(util::ByteReader& r, crawler::ResponseRecord& rec) {
   rec.id = r.varint();
-  rec.network = r.lp_str();
+  rec.network = r.lp_view();
   rec.at = util::SimTime::at_millis(static_cast<std::int64_t>(r.varint()));
-  rec.query = r.lp_str();
-  rec.query_category = r.lp_str();
-  rec.filename = r.lp_str();
+  rec.query = r.lp_view();
+  rec.query_category = r.lp_view();
+  rec.filename = r.lp_view();
   rec.type_by_name = files::classify_extension(rec.filename);
   rec.size = r.varint();
   rec.source_ip = util::Ipv4{r.u32le()};
   rec.source_port = r.u16le();
-  rec.source_key = r.lp_str();
+  rec.source_key = r.lp_view();
   std::uint8_t flags = r.u8();
   rec.source_firewalled = (flags & kFirewalled) != 0;
   rec.download_attempted = (flags & kDownloadAttempted) != 0;
   rec.downloaded = (flags & kDownloaded) != 0;
   rec.infected = (flags & kInfected) != 0;
-  rec.content_key = r.lp_str();
+  rec.content_key = r.lp_view();
   rec.strain = r.u32le();
-  rec.strain_name = r.lp_str();
+  rec.strain_name = r.lp_view();
   rec.type_by_magic = static_cast<files::FileType>(r.u8());
-  return rec;
 }
 
 void encode_summary(util::ByteWriter& w, const StudySummary& summary) {

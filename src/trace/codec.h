@@ -46,7 +46,12 @@ void encode_header_body(util::ByteWriter& w, const TraceHeader& header);
 // One response record. decode re-derives type_by_name from the filename,
 // exactly as the crawler did at capture time.
 void encode_record(util::ByteWriter& w, const crawler::ResponseRecord& rec);
-[[nodiscard]] crawler::ResponseRecord decode_record(util::ByteReader& r);
+/// Decode one record over `rec`, assigning every field. The strings are
+/// assigned from views into the reader's buffer (ByteReader::lp_view), so a
+/// reused `rec` whose strings already have the capacity allocates nothing.
+/// Throws util::BufferUnderflow on malformed input, leaving `rec` partly
+/// overwritten.
+void decode_record(util::ByteReader& r, crawler::ResponseRecord& rec);
 
 // Summary block payload.
 void encode_summary(util::ByteWriter& w, const StudySummary& summary);

@@ -1,6 +1,6 @@
 #include "trace/reader.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -150,16 +150,16 @@ void TraceReader::open(std::istream& in) {
 }
 
 bool TraceReader::next(crawler::ResponseRecord& out) {
-  if (block_pos_ < block_records_.size()) {
-    out = block_records_[block_pos_++];
-    return true;
+  if (block_pos_ == block_size_) {
+    if (done_) return false;
+    if (!advance_block()) {
+      done_ = true;
+      return false;
+    }
   }
-  if (done_) return false;
-  if (!advance_block()) {
-    done_ = true;
-    return false;
-  }
-  out = block_records_[block_pos_++];
+  // Hand the record out by swap: the caller's previous record goes back
+  // into the slot, and its strings' storage is reused by the next decode.
+  std::swap(out, block_records_[block_pos_++]);
   return true;
 }
 
@@ -177,13 +177,13 @@ bool TraceReader::advance_block() {
       stats_.truncated_tail = true;
       return false;
     }
-    util::Bytes payload(payload_len);
-    if (!read_exact(*in_, payload.data(), payload.size())) {
+    payload_.resize(payload_len);
+    if (!read_exact(*in_, payload_.data(), payload_.size())) {
       stats_.truncated_tail = true;
       return false;
     }
     stats_.bytes_read += 1 + varint_size(payload_len) + 4 + payload_len;
-    if (util::crc32(payload, util::crc32({&kind, 1})) != stored_crc) {
+    if (util::crc32(payload_, util::crc32({&kind, 1})) != stored_crc) {
       // Damaged block: its length prefix got us past it, keep going.
       ++stats_.blocks_corrupt;
       metrics.corrupt.add();
@@ -192,20 +192,23 @@ bool TraceReader::advance_block() {
     ++stats_.blocks_read;
     metrics.blocks.add();
     try {
-      util::ByteReader r(payload);
+      util::ByteReader r(payload_);
       switch (static_cast<BlockKind>(kind)) {
         case BlockKind::kRecords: {
-          std::uint64_t count = r.varint();
-          block_records_.clear();
-          block_records_.reserve(std::min<std::uint64_t>(count, 4096));
-          for (std::uint64_t i = 0; i < count; ++i) {
-            block_records_.push_back(decode_record(r));
+          // Decode over the slots in place. A slot is added only when the
+          // block outgrows every earlier one, and only just before its
+          // record decodes, so a bogus count cannot allocate past the
+          // payload it fails to fill.
+          const std::uint64_t count = r.varint();
+          block_pos_ = 0;
+          for (block_size_ = 0; block_size_ < count; ++block_size_) {
+            if (block_size_ == block_records_.size()) block_records_.emplace_back();
+            decode_record(r, block_records_[block_size_]);
           }
           if (!r.empty()) throw util::BufferUnderflow{};
-          if (block_records_.empty()) continue;
-          block_pos_ = 0;
-          stats_.records_read += block_records_.size();
-          metrics.records.add(block_records_.size());
+          if (block_size_ == 0) continue;
+          stats_.records_read += block_size_;
+          metrics.records.add(block_size_);
           return true;
         }
         case BlockKind::kSummary: {
@@ -226,7 +229,10 @@ bool TraceReader::advance_block() {
       }
     } catch (const util::BufferUnderflow&) {
       // CRC-valid but undecodable payload (e.g. written by a buggy or
-      // newer encoder): treat like a damaged block.
+      // newer encoder): treat like a damaged block. A records block is
+      // all or nothing, so drop the slots it decoded before failing;
+      // otherwise a failed last block would hand them out after the end.
+      block_pos_ = block_size_ = 0;
       --stats_.blocks_read;
       ++stats_.blocks_corrupt;
       metrics.corrupt.add();

@@ -42,8 +42,11 @@ class TraceReader final : public StorageReader {
   [[nodiscard]] const TraceHeader& header() const override { return header_; }
 
   /// Pull the next record, advancing through blocks as needed. Returns
-  /// false at end of stream (also on open error). Summary blocks
-  /// encountered along the way are captured (see summary()).
+  /// false at end of stream (also on open error), and on every call after.
+  /// Summary blocks encountered along the way are captured (see
+  /// summary()). `out` is overwritten by swap; its old contents are
+  /// recycled as decode storage. A records block is all or nothing: one
+  /// that fails to decode part-way yields none of its records.
   [[nodiscard]] bool next(crawler::ResponseRecord& out) override;
 
   /// The last summary block seen so far. Definitive once next() has
@@ -77,8 +80,13 @@ class TraceReader final : public StorageReader {
   ReadStats stats_;
   bool done_ = false;
 
-  // Decoded-records cursor over the current block.
+  // One payload buffer for every block, and a cursor over the current
+  // records block. block_records_ holds reusable slots: the first
+  // block_size_ are the block's decoded records, and each block decodes
+  // over the slots (and their strings' storage) of the blocks before it.
+  util::Bytes payload_;
   std::vector<crawler::ResponseRecord> block_records_;
+  std::size_t block_size_ = 0;
   std::size_t block_pos_ = 0;
 };
 

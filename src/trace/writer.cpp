@@ -98,41 +98,42 @@ void TraceWriter::close() {
 void TraceWriter::flush_records() {
   if (pending_count_ == 0) return;
   OBS_SPAN("trace.flush_records");
-  util::ByteWriter payload;
-  payload.varint(pending_count_);
-  payload.bytes(pending_.data());
-  write_block(BlockKind::kRecords, payload.data());
-  pending_ = util::ByteWriter{};
+  util::ByteWriter count;
+  count.varint(pending_count_);
+  write_block(BlockKind::kRecords, count.data(), pending_.data());
+  pending_.clear();  // keeps its capacity for the next block
   pending_count_ = 0;
 }
 
-void TraceWriter::write_block(BlockKind kind, util::ByteView payload) {
+void TraceWriter::write_block(BlockKind kind, util::ByteView payload_head,
+                              util::ByteView payload_tail) {
   const std::uint64_t frame_offset = bytes_written_;
+  const std::uint64_t payload_size = payload_head.size() + payload_tail.size();
   util::ByteWriter head;
   const std::uint8_t kind_byte = static_cast<std::uint8_t>(kind);
   head.u8(kind_byte);
-  head.varint(payload.size());
+  head.varint(payload_size);
   // The CRC covers the kind byte too: a flipped kind must read as a corrupt
   // block, not as a silently skippable unknown kind.
-  head.u32le(util::crc32(payload, util::crc32({&kind_byte, 1})));
-  // The payload goes straight from the caller's buffer to the stream —
+  head.u32le(util::crc32(payload_tail,
+                         util::crc32(payload_head, util::crc32({&kind_byte, 1}))));
+  // The payload goes straight from the caller's buffers to the stream —
   // framing never copies the block body.
-  out_->write(reinterpret_cast<const char*>(head.data().data()),
-              static_cast<std::streamsize>(head.size()));
-  out_->write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
+  for (util::ByteView part : {util::ByteView(head.data()), payload_head, payload_tail}) {
+    out_->write(reinterpret_cast<const char*>(part.data()),
+                static_cast<std::streamsize>(part.size()));
+  }
   if (!*out_) {
     ok_ = false;
     return;
   }
-  bytes_written_ += head.size() + payload.size();
+  const std::uint64_t frame_size = head.size() + payload_size;
+  bytes_written_ += frame_size;
   ++blocks_written_;
-  if (block_observer_) {
-    block_observer_(kind, frame_offset, head.size() + payload.size());
-  }
+  if (block_observer_) block_observer_(kind, frame_offset, frame_size);
   auto& metrics = obs::bound_metrics<WriterMetrics>();
   metrics.blocks.add();
-  metrics.bytes.add(head.size() + payload.size());
+  metrics.bytes.add(frame_size);
 }
 
 }  // namespace p2p::trace

@@ -74,7 +74,10 @@ class TraceWriter final : public StorageWriter {
   }
 
  private:
-  void write_block(BlockKind kind, util::ByteView payload);
+  /// Frame one block whose payload is `payload_head` then `payload_tail`,
+  /// writing both from where they lie.
+  void write_block(BlockKind kind, util::ByteView payload_head,
+                   util::ByteView payload_tail = {});
   void flush_records();
 
   std::unique_ptr<std::ofstream> owned_out_;

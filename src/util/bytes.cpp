@@ -120,10 +120,15 @@ std::uint64_t ByteReader::varint() {
   throw BufferUnderflow{};
 }
 
-std::string ByteReader::lp_str() {
+std::string ByteReader::lp_str() { return std::string(lp_view()); }
+
+std::string_view ByteReader::lp_view() {
   std::uint64_t n = varint();
   if (n > remaining()) throw BufferUnderflow{};
-  return str(static_cast<std::size_t>(n));
+  std::string_view out(reinterpret_cast<const char*>(data_.data() + pos_),
+                       static_cast<std::size_t>(n));
+  pos_ += out.size();
+  return out;
 }
 
 Bytes ByteReader::bytes(std::size_t n) {
@@ -189,18 +194,41 @@ std::optional<Bytes> from_hex(std::string_view hex) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  // Table-driven CRC-32/IEEE (reflected 0xEDB88320), built on first use.
+  // CRC-32/IEEE (reflected 0xEDB88320), slicing-by-8. table[0] is the
+  // classic byte-at-a-time table; table[k][i] is the CRC of byte i followed
+  // by k zero bytes, so one step folds eight message bytes with eight
+  // independent lookups. Built on first use.
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
     return t;
   }();
   std::uint32_t crc = ~seed;
-  for (std::uint8_t b : data) crc = (crc >> 8) ^ table[(crc ^ b) & 0xff];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Little-endian words built from bytes, so the host's byte order never
+    // matters.
+    const std::uint32_t lo = crc ^ (std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+                                    (std::uint32_t{p[2]} << 16) |
+                                    (std::uint32_t{p[3]} << 24));
+    const std::uint32_t hi = std::uint32_t{p[4]} | (std::uint32_t{p[5]} << 8) |
+                             (std::uint32_t{p[6]} << 16) | (std::uint32_t{p[7]} << 24);
+    crc = table[7][lo & 0xff] ^ table[6][(lo >> 8) & 0xff] ^
+          table[5][(lo >> 16) & 0xff] ^ table[4][lo >> 24] ^ table[3][hi & 0xff] ^
+          table[2][(hi >> 8) & 0xff] ^ table[1][(hi >> 16) & 0xff] ^
+          table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ table[0][(crc ^ *p) & 0xff];
   return ~crc;
 }
 

@@ -58,6 +58,9 @@ class ByteWriter {
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const Bytes& data() const& { return buf_; }
+  /// Drop the contents but keep the capacity, so a reused writer stops
+  /// reallocating once it has seen its largest payload.
+  void clear() { buf_.clear(); }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
 
  private:
@@ -90,6 +93,10 @@ class ByteReader {
   [[nodiscard]] std::string str(std::size_t n);
   /// Inverse of ByteWriter::lp_str (varint length + bytes).
   [[nodiscard]] std::string lp_str();
+  /// lp_str without the copy: a view of the string's bytes inside the
+  /// reader's buffer, valid while that buffer is. Assigning it to an
+  /// existing std::string reuses that string's storage.
+  [[nodiscard]] std::string_view lp_view();
 
   void skip(std::size_t n);
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
@@ -117,8 +124,10 @@ class ByteReader {
 /// Inverse of to_hex. Returns nullopt on odd length or non-hex chars.
 [[nodiscard]] std::optional<Bytes> from_hex(std::string_view hex);
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial). `seed` chains incremental
-/// computations: crc32(b, crc32(a)) == crc32(a + b).
+/// CRC-32 (IEEE 802.3, the zlib polynomial), the one checksum of the trace
+/// store and the ZIP container. `seed` chains incremental computations:
+/// crc32(b, crc32(a)) == crc32(a + b). Slicing-by-8: eight bytes per step
+/// through eight 256-entry tables, then a byte-wise tail.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
                                   std::uint32_t seed = 0);
 

@@ -67,12 +67,107 @@ TEST(Md5, RepeatedDigits) {
             "57edf4a22be3c955ac49da2e2107b67a");
 }
 
-TEST(Crc32, KnownVector) {
-  // CRC-32 of "123456789" is the classic check value 0xCBF43926.
-  EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
+// RFC 1321 appendix A.5, the whole test suite.
+TEST(Md5, Rfc1321Suite) {
+  const std::pair<const char*, const char*> vectors[] = {
+      {"", "d41d8cd98f00b204e9800998ecf8427e"},
+      {"a", "0cc175b9c0f1b6a831c399e269772661"},
+      {"abc", "900150983cd24fb0d6963f7d28e17f72"},
+      {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+      {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
+      {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+       "d174ab98d277d9f5a5611c2c9f419d9f"},
+      {"1234567890123456789012345678901234567890123456789012345678901234567890"
+       "1234567890",
+       "57edf4a22be3c955ac49da2e2107b67a"},
+  };
+  for (const auto& [message, digest] : vectors) {
+    EXPECT_EQ(hex(md5(bytes_of(message))), digest) << '"' << message << '"';
+  }
 }
 
-TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
+// The table-driven MD5 compression loop (one branch per round, g by
+// modulo, shifts from a table), kept here as an independent reference for
+// the straight-line kernel.
+Digest16 md5_reference(const util::Bytes& message) {
+  static constexpr int kShift[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+      5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+      4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+  static constexpr std::uint32_t kK[64] = {
+      0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
+      0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
+      0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
+      0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+      0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+      0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
+      0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+      0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+      0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
+      0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+      0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
+  auto rotl = [](std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); };
+  util::Bytes padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 0; i < 8; ++i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::uint32_t state[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u};
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    const std::uint8_t* block = padded.data() + off;
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) {
+      m[i] = std::uint32_t{block[i * 4]} | (std::uint32_t{block[i * 4 + 1]} << 8) |
+             (std::uint32_t{block[i * 4 + 2]} << 16) |
+             (std::uint32_t{block[i * 4 + 3]} << 24);
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      f = f + a + kK[i] + m[g];
+      a = d;
+      d = c;
+      c = b;
+      b = b + rotl(f, kShift[i]);
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  }
+  Digest16 out;
+  for (int i = 0; i < 16; ++i) {
+    out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(state[i / 4] >> (8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Md5, MatchesReferenceAtEveryLength) {
+  util::Bytes data(1 << 20);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  for (std::size_t length = 0; length <= 300; ++length) {
+    const util::Bytes prefix(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(length));
+    EXPECT_EQ(md5(prefix), md5_reference(prefix)) << length;
+  }
+  EXPECT_EQ(md5(data), md5_reference(data));
+}
 
 // Property: incremental hashing with arbitrary chunking equals one-shot.
 class ChunkedHashing : public ::testing::TestWithParam<std::size_t> {};

@@ -123,13 +123,38 @@ std::size_t block_payload_offset(const std::string& file, std::size_t index) {
   }
 }
 
+// One records-block frame over `records` that declares `count` of them
+// (which may be more than the payload holds), with a valid CRC.
+std::string records_frame(const std::vector<crawler::ResponseRecord>& records,
+                          std::uint64_t count) {
+  util::ByteWriter payload;
+  payload.varint(count);
+  for (const auto& r : records) trace::encode_record(payload, r);
+  util::ByteWriter frame;
+  const auto kind = static_cast<std::uint8_t>(trace::BlockKind::kRecords);
+  frame.u8(kind);
+  frame.varint(payload.size());
+  frame.u32le(util::crc32(payload.data(), util::crc32({&kind, 1})));
+  frame.bytes(payload.data());
+  return std::string(reinterpret_cast<const char*>(frame.data().data()), frame.size());
+}
+
+// A trace of just the header (no blocks), to append hand-made frames to.
+std::string header_only_trace() {
+  std::ostringstream out(std::ios::binary);
+  trace::TraceWriter writer(out, make_header());
+  writer.close();
+  return out.str();
+}
+
 TEST(TraceCodec, RecordRoundTripsEveryField) {
   for (std::uint64_t id : {1ull, 2ull, 3ull, 1000ull}) {
     auto rec = make_record(id, id % 2 == 0);
     util::ByteWriter w;
     trace::encode_record(w, rec);
     util::ByteReader r(w.data());
-    auto back = trace::decode_record(r);
+    crawler::ResponseRecord back;
+    trace::decode_record(r, back);
     EXPECT_TRUE(r.empty());
     expect_records_equal(rec, back);
     // type_by_name is not stored: it re-derives from the filename.
@@ -280,6 +305,101 @@ TEST(TraceCorruption, UnknownBlockKindIsSkipped) {
   EXPECT_EQ(count, 4u);
   EXPECT_EQ(reader.stats().blocks_skipped, 1u);
   EXPECT_TRUE(reader.stats().clean());
+}
+
+// The reader decodes each block over the previous block's records and hands
+// them out by swap. A block of long strings followed by blocks of short and
+// empty ones (and a block larger than both) must read back exactly as a
+// fresh decode would, with no byte of an earlier record left behind.
+TEST(TraceReader, ReusedSlotsCarryNoStaleBytes) {
+  std::vector<crawler::ResponseRecord> written;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    auto r = make_record(id, true);
+    const std::string pad(200, static_cast<char>('a' + id));
+    r.network += pad;
+    r.query += pad;
+    r.query_category += pad;
+    r.filename = pad + r.filename;
+    r.source_key += pad;
+    r.content_key += pad;
+    r.strain_name += pad;
+    written.push_back(std::move(r));
+  }
+  for (std::uint64_t id = 5; id <= 7; ++id) {
+    auto r = make_record(id, false);
+    r.network = "kad";
+    r.query = "";
+    r.query_category = id % 2 == 0 ? "" : "x";
+    r.filename = "a.exe";
+    r.source_key = "";
+    r.content_key = "";
+    r.strain_name = "";
+    written.push_back(std::move(r));
+  }
+  for (std::uint64_t id = 8; id <= 16; ++id) written.push_back(make_record(id, id % 2 == 0));
+  for (auto& r : written) r.type_by_name = files::classify_extension(r.filename);
+
+  std::string file = header_only_trace();
+  file += records_frame({written.begin(), written.begin() + 4}, 4);
+  file += records_frame({written.begin() + 4, written.begin() + 7}, 3);
+  file += records_frame({written.begin() + 7, written.end()}, written.size() - 7);
+
+  std::istringstream in(file, std::ios::binary);
+  trace::TraceReader reader(in);
+  ASSERT_TRUE(reader.ok());
+  crawler::ResponseRecord rec;  // one record, reused for every next()
+  std::size_t i = 0;
+  while (reader.next(rec)) {
+    ASSERT_LT(i, written.size());
+    util::ByteWriter w;
+    trace::encode_record(w, written[i]);
+    util::ByteReader r(w.data());
+    crawler::ResponseRecord fresh;
+    trace::decode_record(r, fresh);
+    SCOPED_TRACE("record " + std::to_string(i));
+    expect_records_equal(rec, fresh);
+    expect_records_equal(rec, written[i]);
+    ++i;
+  }
+  EXPECT_EQ(i, written.size());
+  EXPECT_TRUE(reader.stats().clean());
+}
+
+// A records block whose CRC is valid but whose count runs past its payload
+// is dropped whole: none of the records it did decode reach the caller,
+// whether more blocks follow it or it is the last one, and the stream stays
+// ended once it has ended.
+TEST(TraceCorruption, UndecodableBlockYieldsNoneOfItsRecords) {
+  std::vector<crawler::ResponseRecord> records;
+  for (std::uint64_t id = 1; id <= 7; ++id) records.push_back(make_record(id, id == 2));
+  const std::string good = records_frame({records.begin(), records.begin() + 3}, 3);
+  // Declares three records, holds two.
+  const std::string bad = records_frame({records.begin() + 3, records.begin() + 5}, 3);
+  const std::string tail = records_frame({records.begin() + 5, records.end()}, 2);
+
+  struct Case {
+    const char* name;
+    std::string blocks;
+    std::vector<std::uint64_t> ids;
+  };
+  const Case cases[] = {
+      {"mid-stream", good + bad + tail, {1, 2, 3, 6, 7}},
+      {"at end of stream", good + bad, {1, 2, 3}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::istringstream in(header_only_trace() + c.blocks, std::ios::binary);
+    trace::TraceReader reader(in);
+    ASSERT_TRUE(reader.ok());
+    crawler::ResponseRecord rec;
+    std::vector<std::uint64_t> ids;
+    while (reader.next(rec)) ids.push_back(rec.id);
+    EXPECT_FALSE(reader.next(rec)) << "the stream must stay ended";
+    EXPECT_EQ(ids, c.ids);
+    EXPECT_EQ(reader.stats().blocks_corrupt, 1u);
+    EXPECT_EQ(reader.stats().records_read, c.ids.size());
+    EXPECT_FALSE(reader.stats().truncated_tail);
+  }
 }
 
 TEST(TraceStudyIo, SaveLoadRoundTripsStudyResult) {

@@ -79,7 +79,8 @@ TEST_P(TraceRoundTripFuzz, RecordCodecSurvives) {
     util::ByteWriter w;
     trace::encode_record(w, rec);
     util::ByteReader r(w.data());
-    auto back = trace::decode_record(r);
+    crawler::ResponseRecord back;
+    trace::decode_record(r, back);
     ASSERT_TRUE(r.empty());
     EXPECT_EQ(back.id, rec.id);
     EXPECT_EQ(back.network, rec.network);
