@@ -11,11 +11,17 @@
 // tell which regime produced it. The executed-event counts must match
 // across shard counts unconditionally: that part is the determinism
 // contract, not a perf number, and --check always asserts it.
+// The million-peer step always runs under a deadline and an RSS ceiling
+// (kMillionWallLimitS, kMillionRssLimitMib): a breach prints a FAIL line
+// and exits 1, so a runaway cannot hold the bench tier.
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +111,63 @@ double peak_rss_mib() {
   return 0.0;
 }
 
+// Limits on the million-peer step, so one runaway cannot hold the bench
+// tier: about 13x the wall time and 4.6x the peak RSS of a measured run
+// (9.4 s, 449 MiB on 4 cores).
+constexpr double kMillionWallLimitS = 120.0;
+constexpr double kMillionRssLimitMib = 2048.0;
+
+// Watches the million-peer step from a side thread for as long as it lives;
+// the moment the step passes its deadline or its RSS ceiling, prints a FAIL
+// line with the measured value and exits 1 (the study cannot be stopped
+// part-way, so the process ends with it).
+class MillionStepWatchdog {
+ public:
+  MillionStepWatchdog() : thread_([this] { watch(); }) {}
+  ~MillionStepWatchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  MillionStepWatchdog(const MillionStepWatchdog&) = delete;
+  MillionStepWatchdog& operator=(const MillionStepWatchdog&) = delete;
+
+ private:
+  void watch() {
+    const Clock::time_point start = Clock::now();
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!cv_.wait_for(lock, std::chrono::milliseconds(100),
+                         [this] { return done_; })) {
+      double wall = seconds_since(start);
+      double rss = peak_rss_mib();
+      if (wall > kMillionWallLimitS) {
+        std::fprintf(stderr,
+                     "FAIL: million-peer step still running after %.1fs > "
+                     "%.0fs deadline\n",
+                     wall, kMillionWallLimitS);
+        std::fflush(nullptr);
+        std::_Exit(1);
+      }
+      if (rss > kMillionRssLimitMib) {
+        std::fprintf(stderr,
+                     "FAIL: million-peer step peak rss %.0f MiB > %.0f MiB "
+                     "ceiling after %.1fs\n",
+                     rss, kMillionRssLimitMib, wall);
+        std::fflush(nullptr);
+        std::_Exit(1);
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--check] [--json <path>] [--skip-million]\n",
@@ -169,7 +232,10 @@ int main(int argc, char** argv) {
     // a million leaves on the quick preset's ultrapeers.
     cfg.soa_capacity = true;
     Clock::time_point start = Clock::now();
-    p2p::core::StudyResult result = p2p::core::run_limewire_study(cfg);
+    p2p::core::StudyResult result = [&] {
+      MillionStepWatchdog watchdog;
+      return p2p::core::run_limewire_study(cfg);
+    }();
     million_wall = seconds_since(start);
     million_events = result.events_executed;
     million_responses = result.records.size();

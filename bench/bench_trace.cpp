@@ -23,6 +23,9 @@
 #include <string>
 #include <thread>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "core/replay.h"
 #include "core/report.h"
 #include "crawler/records.h"
@@ -122,6 +125,20 @@ p2p::crawler::ResponseRecord make_record(std::uint64_t i) {
   return r;
 }
 
+// fsync every file of the capture just written (its segments and MANIFEST),
+// so the kernel's writeback of them does not compete with the timed replay.
+bool sync_capture(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    int fd = ::open(entry.path().c_str(), O_RDONLY);
+    if (fd < 0) return false;
+    bool synced = ::fsync(fd) == 0;
+    ::close(fd);
+    if (!synced) return false;
+  }
+  return true;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr, "usage: %s [--check] [--json <path>] [--dir <path>]\n",
                argv0);
@@ -180,6 +197,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(segments),
               static_cast<double>(bytes) / (1024.0 * 1024.0), record_wall,
               record_rps);
+  if (!sync_capture(dir)) {
+    std::fprintf(stderr, "FAIL: cannot fsync %s\n", dir.c_str());
+    return 1;
+  }
 
   // -- Replay out of core at 1 and 4 jobs -----------------------------------
   bool ok = true;

@@ -13,12 +13,14 @@
 #             change that breaks the benchmark fails here first.
 #   sanitize  Sanitizer build (address,undefined), wire-format + trace-store
 #             + fault-corruption fuzz suite with the mutation loops scaled up
-#             via P2P_FUZZ_ROUNDS.
+#             via P2P_FUZZ_ROUNDS, plus the codec, kernel and segment-replay
+#             suites.
 #   replay    Replay determinism: record a quick study of each network as a
 #             trace file, replay it offline, and require the replayed JSON
 #             report to be byte-identical to the live one.
 #   tsan      ThreadSanitizer build (-DP2P_SANITIZE=thread); runs the sweep,
-#             fault, shard, and kad suites plus the Payload refcount stress,
+#             fault, shard, kad and trace (segment replay) suites plus the
+#             Payload refcount stress,
 #             a sharded (--shards 4) full-fidelity legacy quick study of
 #             each sharded network and a quick KAD honeypot study — the
 #             concurrency-bearing layers under their real workload.
@@ -127,9 +129,10 @@ tier_sanitize() {
     # what asan/ubsan are for; the shard queue's slab recycling, the
     # word-at-a-time QRP codec and SHA-1 kernel, the fetch pipeline all
     # three crawlers share, the OpenFT/KAD transfer codec, the crawl-log
-    # merge, the MD5 and slicing-by-8 CRC-32 kernels and the trace reader's
-    # in-place decode ride along.
-    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec|MergeLogs|Md5|Crc32|TraceCodec|TraceCorruption|TraceReader' \
+    # merge, the MD5 and slicing-by-8 CRC-32 kernels, the trace reader's
+    # in-place decode and the segment replay's retained candidate bytes
+    # ride along.
+    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec|MergeLogs|Md5|Crc32|TraceCodec|TraceCorruption|TraceReader|TraceSegments' \
       -j "${JOBS}" --output-on-failure
   )
 }
@@ -163,7 +166,7 @@ tier_tsan() {
   cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DP2P_SANITIZE=thread
   cmake --build build-ci-tsan -j "${JOBS}" \
     --target p2p_tests p2p_fault_tests p2p_shard_tests p2p_kad_tests \
-             limewire_study openft_study kad_study
+             p2p_trace_tests limewire_study openft_study kad_study
   (
     cd build-ci-tsan
     ctest -L fault -j "${JOBS}" --output-on-failure
@@ -186,6 +189,9 @@ tier_tsan() {
     # study keeps the CLI path covered too.
     ctest -L kad -j "${JOBS}" --output-on-failure
     ./examples/kad_study --quick --seed 7 --json tsan_kad.json > /dev/null
+    # Segment replay fans the map over worker threads and reduces their
+    # partials on the caller's thread.
+    ctest -L trace -j "${JOBS}" --output-on-failure
   )
 }
 

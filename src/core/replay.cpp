@@ -8,8 +8,10 @@
 #include "filter/limewire_builtin.h"
 #include "filter/size_filter.h"
 #include "obs/metrics.h"
+#include "trace/codec.h"
 #include "trace/reader.h"
 #include "trace/segment.h"
+#include "util/bytes.h"
 #include "util/pool.h"
 
 namespace p2p::core {
@@ -27,13 +29,13 @@ struct SegmentPartial {
   KadCoverageAccumulator honeypots;
   filter::SizeTrainingCounts size_training;
   filter::BuiltinTrainingCounts builtin_training;
+  /// The active records the filter split may still need — downloaded and
+  /// either infected (training) or of a study type (evaluation) — each as a
+  /// varint of its active ordinal within the segment followed by its
+  /// trace::encode_record bytes; encoded, since it lives until the reduce.
+  util::Bytes candidates;
 
   explicit SegmentPartial(std::int64_t window_ms) : windows(window_ms) {}
-};
-
-struct EvalPartial {
-  filter::FilterEvaluation size_eval;
-  filter::FilterEvaluation builtin_eval;
 };
 
 // Open one listed segment with the same acceptance rule SegmentReader uses:
@@ -49,6 +51,19 @@ std::unique_ptr<trace::TraceReader> open_segment(
     return nullptr;
   }
   return reader;
+}
+
+// Feed one segment's retained candidates, in stream order, to
+// fn(active ordinal within the segment, record).
+template <typename Fn>
+void for_each_candidate(const util::Bytes& candidates, Fn&& fn) {
+  util::ByteReader r(candidates);
+  crawler::ResponseRecord rec;
+  while (!r.empty()) {
+    const std::uint64_t ordinal = r.varint();
+    trace::decode_record(r, rec);
+    fn(ordinal, rec);
+  }
 }
 
 void fold_stats(trace::ReadStats& agg, const trace::ReadStats& s) {
@@ -95,19 +110,26 @@ ReplayResult replay_segment_dir(const std::string& dir,
       return;
     }
     crawler::ResponseRecord rec;
+    util::ByteWriter candidates;
     while (reader->next(rec)) {
       part.windows.add(rec);
       part.honeypots.add(rec);
       if (rec.query_category == "honeypot") continue;
-      ++part.active;
+      const std::uint64_t ordinal = part.active++;
       part.families.add(rec);
       part.size_training.add(rec);
       if (limewire) {
         part.builtin_training.add(rec, vendor_known_strains(),
                                   vendor_partial_strains());
       }
+      if (rec.downloaded && (rec.infected || rec.is_study_type())) {
+        candidates.varint(ordinal);
+        trace::encode_record(candidates, rec);
+      }
     }
     part.stats = reader->stats();
+    part.candidates = std::move(candidates).take();
+    part.candidates.shrink_to_fit();
   });
 
   // Reduce in manifest (= stream) order: sums and set unions, plus the
@@ -134,86 +156,56 @@ ReplayResult replay_segment_dir(const std::string& dir,
 
   // The E5 protocol splits the active stream at its first quarter — the
   // same index arithmetic as filter::split_at_fraction, applied to actual
-  // decoded counts. Whole prefix segments contribute their pass-1 training
-  // counts; the one boundary segment is re-read serially for its partial
-  // share. No record span is ever materialized.
+  // decoded counts, so a dropped segment or block moves the split exactly
+  // as it moves a materialized stream's. Whole prefix segments contribute
+  // their pass-1 training counts; the boundary segment's training share and
+  // the evaluation come from the retained candidates. No segment is read
+  // twice and no record span is ever materialized.
   const auto split =
       static_cast<std::uint64_t>(static_cast<double>(total_active) * 0.25);
   filter::SizeTrainingCounts size_training;
   filter::BuiltinTrainingCounts builtin_training;
-  std::uint64_t consumed = 0;
-  std::size_t boundary = n;
   for (std::size_t i = 0; i < n; ++i) {
     const SegmentPartial& part = partials[i];
-    if (part.corrupt) continue;
-    if (consumed + part.active <= split) {
+    if (part.corrupt || prefix_active[i] >= split) continue;
+    if (prefix_active[i] + part.active <= split) {
       size_training.merge(part.size_training);
       if (limewire) builtin_training.merge(part.builtin_training);
-      consumed += part.active;
-    } else {
-      boundary = i;
-      break;
+      continue;
     }
-  }
-  if (boundary < n && consumed < split) {
-    obs::MetricsRegistry task_registry;
-    obs::ScopedMetricsRegistry scope(task_registry);
-    auto reader = open_segment(dir, manifest, manifest.segments[boundary]);
-    std::uint64_t need = split - consumed;
-    crawler::ResponseRecord rec;
-    while (reader != nullptr && need > 0 && reader->next(rec)) {
-      if (rec.query_category == "honeypot") continue;
+    const std::uint64_t need = split - prefix_active[i];
+    for_each_candidate(part.candidates, [&](std::uint64_t ordinal,
+                                            const crawler::ResponseRecord& rec) {
+      if (ordinal >= need) return;
       size_training.add(rec);
       if (limewire) {
         builtin_training.add(rec, vendor_known_strains(),
                              vendor_partial_strains());
       }
-      --need;
-    }
+    });
   }
 
   auto size_filter = filter::SizeFilter::learn_from_counts(size_training);
   std::optional<filter::LimewireBuiltinFilter> builtin;
   if (limewire) builtin = filter::make_builtin_filter_from_counts(builtin_training);
 
-  // Second map: evaluate the learned filters over every segment holding
-  // post-split active records, skipping the training share of the boundary
-  // segment. The tallies are pure sums, so merge order cannot matter.
-  std::vector<EvalPartial> evals(n);
-  util::parallel_for(n, jobs, [&](std::size_t i) {
-    const SegmentPartial& part = partials[i];
-    if (part.corrupt || part.active == 0) return;
-    if (prefix_active[i] + part.active <= split) return;  // wholly training
-    obs::MetricsRegistry task_registry;
-    obs::ScopedMetricsRegistry scope(task_registry);
-    auto reader = open_segment(dir, manifest, manifest.segments[i]);
-    if (reader == nullptr) return;
-    const std::uint64_t skip =
-        split > prefix_active[i] ? split - prefix_active[i] : 0;
-    std::uint64_t active_seen = 0;
-    crawler::ResponseRecord rec;
-    while (reader->next(rec)) {
-      if (rec.query_category == "honeypot") continue;
-      if (active_seen++ < skip) continue;
-      filter::accumulate_evaluation(size_filter, rec, evals[i].size_eval);
-      if (builtin) {
-        filter::accumulate_evaluation(*builtin, rec, evals[i].builtin_eval);
-      }
-    }
-  });
+  // Evaluate the learned filters over the post-split candidates, skipping
+  // the boundary segment's training share. The tallies are pure sums.
   filter::FilterEvaluation size_eval;
   size_eval.filter_name = size_filter.name();
   filter::FilterEvaluation builtin_eval;
   if (builtin) builtin_eval.filter_name = builtin->name();
-  for (const EvalPartial& e : evals) {
-    size_eval.malicious += e.size_eval.malicious;
-    size_eval.clean += e.size_eval.clean;
-    size_eval.true_positives += e.size_eval.true_positives;
-    size_eval.false_positives += e.size_eval.false_positives;
-    builtin_eval.malicious += e.builtin_eval.malicious;
-    builtin_eval.clean += e.builtin_eval.clean;
-    builtin_eval.true_positives += e.builtin_eval.true_positives;
-    builtin_eval.false_positives += e.builtin_eval.false_positives;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SegmentPartial& part = partials[i];
+    if (part.corrupt || prefix_active[i] + part.active <= split) continue;
+    const std::uint64_t skip =
+        split > prefix_active[i] ? split - prefix_active[i] : 0;
+    for_each_candidate(part.candidates, [&](std::uint64_t ordinal,
+                                            const crawler::ResponseRecord& rec) {
+      if (ordinal < skip) return;
+      filter::accumulate_evaluation(size_filter, rec, size_eval);
+      if (builtin) filter::accumulate_evaluation(*builtin, rec, builtin_eval);
+    });
   }
 
   // Assemble the same Report build_report produces over a materialized

@@ -1,14 +1,16 @@
 // Out-of-core map-reduce replay of a segment directory (`.p2ps/`).
 //
 // Segments fan out across a thread pool; each worker streams its segment
-// once, folding records into the mergeable accumulators (analysis families,
-// windowed series, honeypot coverage, filter-training counts) — never
-// materializing the capture. Partials merge on the main thread in manifest
-// (= stream) order, the filters are learned from the merged counts, and a
-// second parallel pass evaluates them over the post-split segments. Every
-// statistic is either a sum/union or finalized over the merged state, so
-// the report is byte-identical to a serial whole-trace replay at any jobs
-// count — the property the longhaul CI tier pins with cmp.
+// exactly once, folding records into the mergeable accumulators (analysis
+// families, windowed series, honeypot coverage, filter-training counts) and
+// keeping, still encoded, the few records the filter split may need —
+// never materializing the capture. Partials merge on the main thread in
+// manifest (= stream) order, the filters are learned from the merged counts
+// plus the boundary segment's retained training share, and the retained
+// post-split records evaluate them. Every statistic is either a sum/union
+// or finalized over the merged state, so the report is byte-identical to a
+// serial whole-trace replay at any jobs count — the property the longhaul
+// CI tier pins with cmp.
 //
 // Failure containment matches SegmentReader: an unopenable or mismatched
 // segment is dropped whole (segments_corrupt), damaged blocks inside a
@@ -27,8 +29,8 @@
 namespace p2p::core {
 
 struct ReplayOptions {
-  /// Worker threads for the two parallel passes (clamped to segment count;
-  /// 1 = serial in-thread).
+  /// Worker threads for the parallel pass over the segments (clamped to
+  /// segment count; 1 = serial in-thread).
   std::size_t jobs = 1;
   /// Window width for the rolling analytics; 0 inherits the capture's
   /// segment window from the MANIFEST.

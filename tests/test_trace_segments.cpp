@@ -3,7 +3,9 @@
 // through the storage interface, parallel-replay byte-identity at any jobs
 // count, MANIFEST damage and staleness as hard failures, and the
 // per-segment corruption containment matrix (bit flip / truncation /
-// missing file — the report must still come out, with the damage counted).
+// missing file — the report must still come out, with the damage counted),
+// and replay's report equal to build_report over the surviving records with
+// the filter split on either side of a segment edge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -81,9 +83,9 @@ std::vector<crawler::ResponseRecord> make_stream(std::size_t count,
   return out;
 }
 
-trace::TraceHeader make_header() {
+trace::TraceHeader make_header(const std::string& network = "limewire") {
   trace::TraceHeader header;
-  header.network = "limewire";
+  header.network = network;
   header.config_hash = 0xabcdef0123456789ull;
   header.seed = 42;
   header.crawl_duration_ms = 72 * kHourMs;
@@ -102,12 +104,13 @@ trace::StudySummary make_summary() {
 /// Record `records` into a segment directory at `dir` and return it.
 void record_dir(const std::string& dir,
                 const std::vector<crawler::ResponseRecord>& records,
-                std::int64_t window_ms, bool with_summary = true) {
+                std::int64_t window_ms, bool with_summary = true,
+                const std::string& network = "limewire") {
   fs::remove_all(dir);
   trace::SegmentWriterOptions options;
   options.window_ms = window_ms;
   options.records_per_block = 16;  // small blocks: more corruption targets
-  trace::SegmentWriter writer(dir, make_header(), options);
+  trace::SegmentWriter writer(dir, make_header(network), options);
   ASSERT_TRUE(writer.ok());
   for (const auto& r : records) writer.on_record(r);
   if (with_summary) writer.write_summary(make_summary());
@@ -416,6 +419,161 @@ TEST(TraceSegments, DamageInOneSegmentLeavesOthersExact) {
   // Survivors stream in order and untouched.
   for (std::size_t i = 1; i < survived.size(); ++i) {
     EXPECT_LT(survived[i - 1].id, survived[i].id);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Replay equals the in-memory report at the filter split
+// ---------------------------------------------------------------------------
+
+enum class SplitAt { kMidSegment, kInSegmentZero, kSegmentEnd };
+
+/// Overwrite `r` as an infected download of a vendor-known strain (so the
+/// builtin filter learns its content key) with the given key and size.
+void plant(crawler::ResponseRecord& r, bool study_type, const std::string& key,
+           std::uint64_t size) {
+  r.filename = study_type ? "planted.exe" : "planted.mp3";
+  r.type_by_name = study_type ? files::FileType::kExecutable
+                              : files::FileType::kAudio;
+  r.type_by_magic = r.type_by_name;
+  r.download_attempted = true;
+  r.downloaded = true;
+  r.infected = true;
+  r.strain = 1;
+  r.strain_name = "Troj.Dropper.D";
+  r.content_key = key;
+  r.size = size;
+}
+
+struct SplitStream {
+  std::vector<crawler::ResponseRecord> records;
+  std::int64_t window_ms = 0;
+  std::uint64_t boundary_window = 0;  // window holding active ordinal split
+};
+
+/// A stream whose E5 split (the first quarter of its active records) lands
+/// where `at` says, with records planted on both sides of it. Let s be the
+/// split's active ordinal. Twelve infected downloads of one strain before
+/// s - 3 make that strain the size filter's first; s - 3 is an infected
+/// non-study download (training only: the evaluation skips non-study
+/// types); s - 1 and s are infected downloads; s + 1, s + 2 and s + 3 repeat
+/// the size and content key of s - 3, s - 1 and s, so each of them is
+/// blocked exactly when its twin was trained on. Training one record too
+/// many or too few, or dropping the non-study one, changes the tallies.
+SplitStream make_split_stream(const std::string& network, bool honeypots,
+                              SplitAt at) {
+  constexpr std::size_t kCount = 1200;
+  constexpr std::int64_t kHours = 96;
+  SplitStream out;
+  out.records = make_stream(kCount, kHours, 0x51ull);
+  std::vector<std::size_t> active;  // stream index of each active record
+  for (std::size_t i = 0; i < kCount; ++i) {
+    out.records[i].network = network;
+    if (honeypots && i % 3 != 0) {
+      out.records[i].query_category = "honeypot";
+    } else {
+      active.push_back(i);
+    }
+  }
+  const auto s = static_cast<std::size_t>(static_cast<double>(active.size()) * 0.25);
+  for (std::size_t k = 0; k < 12; ++k) {
+    plant(out.records[active[s - 5 - 2 * k]], true, "planted-train", 9'000'000);
+  }
+  plant(out.records[active[s - 3]], false, "planted-nonstudy", 9'000'003);
+  plant(out.records[active[s - 1]], true, "planted-before", 9'000'001);
+  plant(out.records[active[s]], true, "planted-at", 9'000'002);
+  plant(out.records[active[s + 1]], true, "planted-nonstudy", 9'000'003);
+  plant(out.records[active[s + 2]], true, "planted-before", 9'000'001);
+  plant(out.records[active[s + 3]], true, "planted-at", 9'000'002);
+
+  // make_stream puts record i in [i * stride, (i + 1) * stride), so a window
+  // edge at p * stride starts a segment exactly at stream index p.
+  const std::int64_t stride = kHours * kHourMs / static_cast<std::int64_t>(kCount);
+  const auto p = static_cast<std::int64_t>(active[s]);
+  switch (at) {
+    case SplitAt::kMidSegment:  // s at 1.5 windows: inside segment 1
+      out.window_ms = p * stride * 2 / 3;
+      break;
+    case SplitAt::kInSegmentZero:  // s at 0.75 windows
+      out.window_ms = p * stride * 4 / 3;
+      break;
+    case SplitAt::kSegmentEnd:  // s - 1 ends segment 0, s starts segment 1
+      out.window_ms = p * stride;
+      break;
+  }
+  auto window_of = [&](std::size_t ordinal) {
+    return static_cast<std::uint64_t>(out.records[active[ordinal]].at.millis() /
+                                      out.window_ms);
+  };
+  out.boundary_window = window_of(s);
+  switch (at) {
+    case SplitAt::kMidSegment:
+      EXPECT_EQ(out.boundary_window, 1u);
+      EXPECT_EQ(window_of(s - 25), 1u);
+      EXPECT_EQ(window_of(s + 3), 1u);
+      break;
+    case SplitAt::kInSegmentZero:
+      EXPECT_EQ(out.boundary_window, 0u);
+      EXPECT_EQ(window_of(s + 3), 0u);
+      break;
+    case SplitAt::kSegmentEnd:
+      EXPECT_EQ(window_of(s - 1), 0u);
+      EXPECT_EQ(out.boundary_window, 1u);
+      break;
+  }
+  return out;
+}
+
+TEST(TraceSegments, ReplayMatchesInMemoryReport) {
+  struct Variant {
+    const char* network;
+    bool honeypots;
+  };
+  const Variant kVariants[] = {{"limewire", false}, {"kad", true}};
+  const std::pair<const char*, SplitAt> kSplits[] = {
+      {"mid-segment", SplitAt::kMidSegment},
+      {"segment-0", SplitAt::kInSegmentZero},
+      {"segment-end", SplitAt::kSegmentEnd},
+  };
+  for (const Variant& variant : kVariants) {
+    for (const auto& [split_name, at] : kSplits) {
+      for (bool damaged : {false, true}) {
+        std::string name = std::string(variant.network) + "-" + split_name +
+                           (damaged ? "-bit-flip" : "");
+        SCOPED_TRACE(name);
+        SplitStream stream = make_split_stream(variant.network, variant.honeypots, at);
+        std::string dir = temp_path("split-" + name + ".p2ps");
+        record_dir(dir, stream.records, stream.window_ms, /*with_summary=*/false,
+                   variant.network);
+        if (damaged) {
+          trace::ManifestData manifest = trace::read_manifest(dir);
+          ASSERT_TRUE(manifest.ok());
+          bool flipped = false;
+          for (const auto& entry : manifest.manifest.segments) {
+            if (entry.window_index != stream.boundary_window) continue;
+            bit_flip(trace::segment_path(dir, entry));
+            flipped = true;
+          }
+          ASSERT_TRUE(flipped);
+        }
+
+        trace::SegmentReader reader(dir);
+        ASSERT_TRUE(reader.ok());
+        auto survivors = read_all(reader);
+        EXPECT_EQ(reader.stats().clean(), !damaged);
+        std::string expected =
+            report_json(core::build_report(survivors, variant.network));
+        for (std::size_t jobs : {1u, 3u, 8u}) {
+          SCOPED_TRACE(jobs);
+          core::ReplayOptions options;
+          options.jobs = jobs;
+          auto replay = core::replay_segment_dir(dir, options);
+          ASSERT_TRUE(replay.ok) << replay.error;
+          EXPECT_EQ(replay.stats.records_read, survivors.size());
+          EXPECT_EQ(report_json(replay.report), expected);
+        }
+      }
+    }
   }
 }
 
