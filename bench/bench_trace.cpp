@@ -9,7 +9,9 @@
 // repo root records the baseline.
 //
 // The stream is synthesized from splitmix64 (no simulation): ~1.26M records
-// with the mix the analysis pipeline cares about — study-type responses,
+// with the mix the analysis pipeline cares about — study-type responses
+// (every filename carries its drawn type's extension, since decoding
+// re-derives the type from the name; the bench fails if they disagree),
 // an ~8% infection rate over six strains with characteristic sizes (so the
 // size filter trains), rotating categories, and a few hundred distinct
 // sources.
@@ -29,6 +31,7 @@
 #include "core/replay.h"
 #include "core/report.h"
 #include "crawler/records.h"
+#include "files/file_types.h"
 #include "trace/segment.h"
 #include "util/rng.h"
 
@@ -85,10 +88,13 @@ p2p::crawler::ResponseRecord make_record(std::uint64_t i) {
   r.query = 'q' + std::to_string(h % 40);
 
   std::uint64_t type_roll = h2 % 10;
+  const char* extension = ".mp3";
   if (type_roll < 3) {
     r.type_by_name = p2p::files::FileType::kExecutable;
+    extension = ".exe";
   } else if (type_roll < 5) {
     r.type_by_name = p2p::files::FileType::kArchive;
+    extension = ".zip";
   } else {
     r.type_by_name = p2p::files::FileType::kAudio;
   }
@@ -116,11 +122,11 @@ p2p::crawler::ResponseRecord make_record(std::uint64_t i) {
     r.size = 90'000 + strain * 16'384 + (splitmix64(state) % 4) * 1'024;
     r.content_key = "inf-" + std::to_string(strain) + "-" +
                     std::to_string(splitmix64(state) % 50);
-    r.filename = r.strain_name + ".exe";
+    r.filename = r.strain_name + extension;
   } else {
     r.size = 100'000 + h2 % 40'000'000;
     r.content_key = "c-" + std::to_string(h2 % 200'000);
-    r.filename = "file-" + std::to_string(h2 % 5'000);
+    r.filename = "file-" + std::to_string(h2 % 5'000) + extension;
   }
   return r;
 }
@@ -181,7 +187,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: cannot create %s\n", dir.c_str());
       return 1;
     }
-    for (std::uint64_t i = 0; i < kRecords; ++i) writer.on_record(make_record(i));
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      const p2p::crawler::ResponseRecord record = make_record(i);
+      if (p2p::files::classify_extension(record.filename) != record.type_by_name) {
+        std::fprintf(stderr, "FAIL: record %llu named %s is not its drawn type\n",
+                     static_cast<unsigned long long>(i), record.filename.c_str());
+        return 1;
+      }
+      writer.on_record(record);
+    }
     writer.close();
     if (!writer.ok()) {
       std::fprintf(stderr, "FAIL: write error in %s\n", dir.c_str());
@@ -207,6 +221,7 @@ int main(int argc, char** argv) {
   double replay_rps[2] = {0.0, 0.0};
   std::string reports[2];
   std::size_t windows = 0;
+  p2p::analysis::PrevalenceSummary prevalence;
   for (int pass = 0; pass < 2; ++pass) {
     p2p::core::ReplayOptions options;
     options.jobs = pass == 0 ? 1 : 4;
@@ -231,8 +246,12 @@ int main(int argc, char** argv) {
     p2p::core::write_report_json(json, result.report);
     reports[pass] = std::move(json).str();
     windows = result.windows.size();
-    std::printf("replay: jobs=%zu  %.1fs  %.0f records/s  %zu windows\n",
-                options.jobs, wall, replay_rps[pass], windows);
+    prevalence = result.report.prevalence;
+    std::printf("replay: jobs=%zu  %.1fs  %.0f records/s  %zu windows  "
+                "%llu study responses, %llu labeled\n",
+                options.jobs, wall, replay_rps[pass], windows,
+                static_cast<unsigned long long>(prevalence.study_responses),
+                static_cast<unsigned long long>(prevalence.labeled));
   }
   double rss = peak_rss_mib();
   std::printf("peak rss: %.0f MiB\n", rss);
@@ -270,13 +289,16 @@ int main(int argc, char** argv) {
       "\"record_records_per_sec\":%.0f,"
       "\"replay\":[{\"jobs\":1,\"records_per_sec\":%.0f},"
       "{\"jobs\":4,\"records_per_sec\":%.0f}],"
-      "\"reports_identical\":%s,\"windows\":%zu,\"peak_rss_mib\":%.0f,"
+      "\"reports_identical\":%s,\"windows\":%zu,\"study_responses\":%llu,"
+      "\"labeled\":%llu,\"peak_rss_mib\":%.0f,"
       "\"floors\":{\"replay_records_per_sec\":%.0f,\"peak_rss_mib\":%.0f}}\n",
       std::thread::hardware_concurrency(), static_cast<unsigned long long>(kRecords),
       static_cast<long long>(kDays),
       static_cast<unsigned long long>(segments),
       static_cast<unsigned long long>(bytes), record_rps, replay_rps[0],
-      replay_rps[1], identical ? "true" : "false", windows, rss,
+      replay_rps[1], identical ? "true" : "false", windows,
+      static_cast<unsigned long long>(prevalence.study_responses),
+      static_cast<unsigned long long>(prevalence.labeled), rss,
       kReplayRecordsPerSecFloor, kPeakRssMibCeiling);
   if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) {
     std::fprintf(stderr, "json overflow\n");

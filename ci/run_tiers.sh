@@ -131,8 +131,9 @@ tier_sanitize() {
     # three crawlers share, the OpenFT/KAD transfer codec, the crawl-log
     # merge, the MD5 and slicing-by-8 CRC-32 kernels, the trace reader's
     # in-place decode and the segment replay's retained candidate bytes
-    # ride along.
-    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec|MergeLogs|Md5|Crc32|TraceCodec|TraceCorruption|TraceReader|TraceSegments' \
+    # ride along, as do the wire codecs, which encode into one placement-new
+    # Payload block and patch their length fields in place.
+    ctest -R 'Payload|ShardQueue|^Task|QueryRouteTable|QrpHash|Sha1|FetchPipeline|TransferCodec|MergeLogs|Md5|Crc32|TraceCodec|TraceCorruption|TraceReader|TraceSegments|Message|KadCodec|FtPacket|ByteWriter|ByteReader|Hex|KeywordMatch|TaggedFrame|WireGolden' \
       -j "${JOBS}" --output-on-failure
   )
 }

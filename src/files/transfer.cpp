@@ -5,8 +5,12 @@
 
 namespace p2p::files {
 
-util::Bytes make_get(const Digest16& md5) {
-  return util::text_bytes("GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
+util::Payload make_get(const Digest16& md5) {
+  return util::encode_payload([&](util::ByteWriter& w) {
+    w.str("GET /");
+    w.hex(md5);
+    w.str(" HTTP/1.1\r\n\r\n");
+  });
 }
 
 std::optional<Digest16> parse_get(util::ByteView wire) {
@@ -14,20 +18,23 @@ std::optional<Digest16> parse_get(util::ByteView wire) {
   if (!text.starts_with("GET /")) return std::nullopt;
   std::size_t space = text.find(' ', 5);
   if (space == std::string_view::npos) return std::nullopt;
-  auto bytes = util::from_hex(text.substr(5, space - 5));
   Digest16 md5;
-  if (!bytes || bytes->size() != md5.size()) return std::nullopt;
-  std::copy(bytes->begin(), bytes->end(), md5.begin());
+  if (!util::from_hex_into(text.substr(5, space - 5), md5)) return std::nullopt;
   return md5;
 }
 
-util::Bytes make_response(int status, const util::Bytes* body) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) +
-                     (status == 200 ? " OK" : " Not Found") + "\r\nContent-Length: " +
-                     std::to_string(body ? body->size() : 0) + "\r\n\r\n";
-  util::Bytes out = util::text_bytes(head);
-  if (body) out.insert(out.end(), body->begin(), body->end());
-  return out;
+util::Payload make_response(int status, const util::Bytes* body) {
+  const util::ByteView content = body ? util::ByteView(*body) : util::ByteView();
+  return util::encode_payload(
+      [&](util::ByteWriter& w) {
+        w.str("HTTP/1.1 ");
+        w.str(std::to_string(status));
+        w.str(status == 200 ? " OK" : " Not Found");
+        w.str("\r\nContent-Length: ");
+        w.str(std::to_string(content.size()));
+        w.str("\r\n\r\n");
+      },
+      content);
 }
 
 std::optional<ParsedResponse> parse_response(util::ByteView wire) {

@@ -9,16 +9,18 @@
 
 #include "files/hash.h"
 #include "util/bytes.h"
+#include "util/payload.h"
 
 namespace p2p::files {
 
-[[nodiscard]] util::Bytes make_get(const Digest16& md5);
+[[nodiscard]] util::Payload make_get(const Digest16& md5);
 /// The requested digest, or nullopt for anything but a well-formed GET of a
 /// 32-hex-digit digest.
 [[nodiscard]] std::optional<Digest16> parse_get(util::ByteView wire);
 
-/// A 200 carrying `body`, or a 404 when `body` is null.
-[[nodiscard]] util::Bytes make_response(int status, const util::Bytes* body);
+/// A 200 carrying `body`, or a 404 when `body` is null. The body is copied
+/// once, straight into the payload.
+[[nodiscard]] util::Payload make_response(int status, const util::Bytes* body);
 
 struct ParsedResponse {
   int status = 0;

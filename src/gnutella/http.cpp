@@ -67,6 +67,13 @@ std::string url_encode(std::string_view s) {
   return out;
 }
 
+void write_header(util::ByteWriter& w, std::string_view name, std::string_view value) {
+  w.str(name);
+  w.str(": ");
+  w.str(value);
+  w.str("\r\n");
+}
+
 std::string url_decode(std::string_view s) {
   auto hex_val = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';
@@ -93,12 +100,15 @@ std::string url_decode(std::string_view s) {
 
 }  // namespace
 
-util::Bytes HttpRequest::serialize() const {
-  util::ByteWriter w;
-  w.str(method + " " + path + " HTTP/1.1\r\n");
-  for (const auto& [name, value] : headers) w.str(name + ": " + value + "\r\n");
-  w.str("\r\n");
-  return std::move(w).take();
+util::Payload HttpRequest::serialize() const {
+  return util::encode_payload([this](util::ByteWriter& w) {
+    w.str(method);
+    w.u8(' ');
+    w.str(path);
+    w.str(" HTTP/1.1\r\n");
+    for (const auto& [name, value] : headers) write_header(w, name, value);
+    w.str("\r\n");
+  });
 }
 
 std::optional<HttpRequest> HttpRequest::parse(util::ByteView wire) {
@@ -113,20 +123,23 @@ std::optional<HttpRequest> HttpRequest::parse(util::ByteView wire) {
   return req;
 }
 
-util::Bytes HttpResponse::serialize() const {
-  util::ByteWriter w;
-  w.str("HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n");
-  bool has_length = false;
-  for (const auto& [name, value] : headers) {
-    w.str(name + ": " + value + "\r\n");
-    if (name == "Content-Length") has_length = true;
-  }
-  if (!has_length) {
-    w.str("Content-Length: " + std::to_string(body.size()) + "\r\n");
-  }
-  w.str("\r\n");
-  w.bytes(body);
-  return std::move(w).take();
+util::Payload HttpResponse::serialize(util::ByteView content) const {
+  return util::encode_payload(
+      [&](util::ByteWriter& w) {
+        w.str("HTTP/1.1 ");
+        w.str(std::to_string(status));
+        w.u8(' ');
+        w.str(reason);
+        w.str("\r\n");
+        bool has_length = false;
+        for (const auto& [name, value] : headers) {
+          write_header(w, name, value);
+          if (name == "Content-Length") has_length = true;
+        }
+        if (!has_length) write_header(w, "Content-Length", std::to_string(content.size()));
+        w.str("\r\n");
+      },
+      content);
 }
 
 std::optional<HttpResponse> HttpResponse::parse(util::ByteView wire) {
@@ -175,11 +188,16 @@ HttpRequest make_get_request(std::uint32_t index, const std::string& filename) {
   return req;
 }
 
-util::Bytes GivLine::serialize() const {
-  util::ByteWriter w;
-  w.str("GIV " + std::to_string(index) + ":" + servent_guid.hex() + "/" + filename +
-        "\n\n");
-  return std::move(w).take();
+util::Payload GivLine::serialize() const {
+  return util::encode_payload([this](util::ByteWriter& w) {
+    w.str("GIV ");
+    w.str(std::to_string(index));
+    w.u8(':');
+    w.hex(servent_guid.bytes);
+    w.u8('/');
+    w.str(filename);
+    w.str("\n\n");
+  });
 }
 
 std::optional<GivLine> GivLine::parse(util::ByteView wire) {
@@ -199,9 +217,7 @@ std::optional<GivLine> GivLine::parse(util::ByteView wire) {
       std::from_chars(idx_str.data(), idx_str.data() + idx_str.size(), giv.index);
   if (ec != std::errc{}) return std::nullopt;
   auto guid_hex = line.substr(colon + 1, slash - colon - 1);
-  auto guid_bytes = util::from_hex(guid_hex);
-  if (!guid_bytes || guid_bytes->size() != 16) return std::nullopt;
-  std::copy(guid_bytes->begin(), guid_bytes->end(), giv.servent_guid.bytes.begin());
+  if (!util::from_hex_into(guid_hex, giv.servent_guid.bytes)) return std::nullopt;
   giv.filename = std::string(line.substr(slash + 1));
   return giv;
 }

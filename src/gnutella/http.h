@@ -16,6 +16,7 @@
 
 #include "gnutella/guid.h"
 #include "util/bytes.h"
+#include "util/payload.h"
 
 namespace p2p::gnutella {
 
@@ -24,7 +25,7 @@ struct HttpRequest {
   std::string path;
   std::vector<std::pair<std::string, std::string>> headers;
 
-  [[nodiscard]] util::Bytes serialize() const;
+  [[nodiscard]] util::Payload serialize() const;
   static std::optional<HttpRequest> parse(util::ByteView wire);
 };
 
@@ -34,7 +35,10 @@ struct HttpResponse {
   std::vector<std::pair<std::string, std::string>> headers;
   util::Bytes body;
 
-  [[nodiscard]] util::Bytes serialize() const;
+  [[nodiscard]] util::Payload serialize() const { return serialize(body); }
+  /// serialize() with `content` in place of `body`: an upload sends the
+  /// shared file's bytes, copied once, straight into the payload.
+  [[nodiscard]] util::Payload serialize(util::ByteView content) const;
   static std::optional<HttpResponse> parse(util::ByteView wire);
 };
 
@@ -52,7 +56,7 @@ struct GivLine {
   Guid servent_guid;
   std::string filename;
 
-  [[nodiscard]] util::Bytes serialize() const;
+  [[nodiscard]] util::Payload serialize() const;
   static std::optional<GivLine> parse(util::ByteView wire);
 };
 

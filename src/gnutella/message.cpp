@@ -1,12 +1,17 @@
 #include "gnutella/message.h"
 
 #include <cstring>
+#include <string_view>
 
 namespace p2p::gnutella {
 
 namespace {
 
 constexpr std::uint8_t kQhdPushFlag = 0x01;
+constexpr std::string_view kUrnPrefix = "urn:sha1:";
+// GUID(16) | type | TTL | hops, then the payload length at this offset.
+constexpr std::size_t kLengthOffset = 19;
+constexpr std::size_t kHeaderSize = 23;
 
 void write_ip(util::ByteWriter& w, util::Ipv4 ip) {
   // IPv4 on the Gnutella wire is big-endian (network order) bytes.
@@ -41,7 +46,9 @@ void write_payload(util::ByteWriter& w, const Payload& payload) {
             w.u32le(r.index);
             w.u32le(r.size);
             w.cstr(r.filename);
-            w.cstr("urn:sha1:" + util::to_hex(r.sha1));
+            w.str(kUrnPrefix);
+            w.hex(r.sha1);
+            w.u8(0);
           }
           // Minimal EQHD-style trailer: vendor code, open-data length,
           // flags byte (push bit), then the 16-byte servent GUID.
@@ -109,14 +116,9 @@ std::optional<Payload> read_payload(MsgType type, util::ByteReader& r) {
         res.index = r.u32le();
         res.size = r.u32le();
         res.filename = r.cstr();
-        std::string ext = r.cstr();
-        constexpr std::string_view kUrnPrefix = "urn:sha1:";
-        if (ext.starts_with(kUrnPrefix)) {
-          if (auto bytes = util::from_hex(
-                  std::string_view{ext}.substr(kUrnPrefix.size()));
-              bytes && bytes->size() == res.sha1.size()) {
-            std::copy(bytes->begin(), bytes->end(), res.sha1.begin());
-          }
+        // A malformed urn leaves the digest zero.
+        if (std::string_view ext = r.cstr_view(); ext.starts_with(kUrnPrefix)) {
+          (void)util::from_hex_into(ext.substr(kUrnPrefix.size()), res.sha1);
         }
         h.results.push_back(std::move(res));
       }
@@ -127,14 +129,12 @@ std::optional<Payload> read_payload(MsgType type, util::ByteReader& r) {
         h.needs_push = (flags & kQhdPushFlag) != 0;
         if (open_data_len > 1) r.skip(open_data_len - 1);
       }
-      auto guid_bytes = r.bytes(16);
-      std::copy(guid_bytes.begin(), guid_bytes.end(), h.servent_guid.bytes.begin());
+      r.read_into(h.servent_guid.bytes);
       return Payload{std::move(h)};
     }
     case MsgType::kPush: {
       Push p;
-      auto guid_bytes = r.bytes(16);
-      std::copy(guid_bytes.begin(), guid_bytes.end(), p.servent_guid.bytes.begin());
+      r.read_into(p.servent_guid.bytes);
       p.file_index = r.u32le();
       p.requester.ip = read_ip(r);
       p.requester.port = r.u16le();
@@ -161,26 +161,25 @@ std::optional<Payload> read_payload(MsgType type, util::ByteReader& r) {
 
 }  // namespace
 
-util::Bytes serialize(const Message& msg) {
-  util::ByteWriter body;
-  write_payload(body, msg.payload);
+util::Payload serialize(const Message& msg) { return serialize(msg.header, msg.payload); }
 
-  util::ByteWriter w;
-  w.bytes(msg.header.guid.bytes);
-  w.u8(static_cast<std::uint8_t>(msg.header.type));
-  w.u8(msg.header.ttl);
-  w.u8(msg.header.hops);
-  w.u32le(static_cast<std::uint32_t>(body.size()));
-  w.bytes(body.data());
-  return std::move(w).take();
+util::Payload serialize(const Header& header, const Payload& payload) {
+  return util::encode_payload([&](util::ByteWriter& w) {
+    w.bytes(header.guid.bytes);
+    w.u8(static_cast<std::uint8_t>(header.type));
+    w.u8(header.ttl);
+    w.u8(header.hops);
+    w.u32le(0);  // payload length, patched once the payload is written
+    write_payload(w, payload);
+    w.patch_u32le(kLengthOffset, static_cast<std::uint32_t>(w.size() - kHeaderSize));
+  });
 }
 
 std::optional<Message> parse(util::ByteView wire) {
   util::ByteReader r(wire);
   try {
     Message msg;
-    auto guid_bytes = r.bytes(16);
-    std::copy(guid_bytes.begin(), guid_bytes.end(), msg.header.guid.bytes.begin());
+    r.read_into(msg.header.guid.bytes);
     std::uint8_t type = r.u8();
     switch (type) {
       case 0x00: case 0x01: case 0x02: case 0x30: case 0x40: case 0x80: case 0x81:

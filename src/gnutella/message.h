@@ -18,6 +18,7 @@
 #include "gnutella/guid.h"
 #include "util/bytes.h"
 #include "util/ip.h"
+#include "util/payload.h"
 
 namespace p2p::gnutella {
 
@@ -105,8 +106,11 @@ struct Message {
   [[nodiscard]] MsgType type() const { return header.type; }
 };
 
-/// Serialize to the wire format.
-[[nodiscard]] util::Bytes serialize(const Message& msg);
+/// Serialize to the wire format: one util::Payload allocation.
+[[nodiscard]] util::Payload serialize(const Message& msg);
+/// Serialize `payload` under `header`, the way a servent forwards a
+/// descriptor with a new TTL and hop count without copying the Message.
+[[nodiscard]] util::Payload serialize(const Header& header, const Payload& payload);
 
 /// Parse one descriptor. Returns nullopt on malformed input (bad lengths,
 /// unknown type, truncation) — the servent drops such traffic.

@@ -602,10 +602,10 @@ void Servent::handle_query(sim::ConnId conn, ConnState& state, const Message& ms
 
   if (!config_.ultrapeer) return;  // leaves are the last hop
 
-  Message fwd = msg;
-  fwd.header.ttl = static_cast<std::uint8_t>(msg.header.ttl > 0 ? msg.header.ttl - 1 : 0);
-  fwd.header.hops = static_cast<std::uint8_t>(msg.header.hops + 1);
-  bool ttl_ok = msg.header.ttl > 1 && fwd.header.hops < config_.max_ttl;
+  Header fwd = msg.header;
+  fwd.ttl = static_cast<std::uint8_t>(msg.header.ttl > 0 ? msg.header.ttl - 1 : 0);
+  fwd.hops = static_cast<std::uint8_t>(msg.header.hops + 1);
+  bool ttl_ok = msg.header.ttl > 1 && fwd.hops < config_.max_ttl;
   if (!ttl_ok) {
     ++stats_.dropped_ttl;
     m.dropped_ttl.add(1);
@@ -627,7 +627,7 @@ void Servent::handle_query(sim::ConnId conn, ConnState& state, const Message& ms
     }
     if (st.peer_ultrapeer) {
       if (ttl_ok) {
-        if (fwd_wire.empty()) fwd_wire = serialize(fwd);
+        if (fwd_wire.empty()) fwd_wire = serialize(fwd, msg.payload);
         network().send(cid, id(), fwd_wire);
         ++stats_.queries_forwarded_up;
         m.queries_routed.add(1);
@@ -646,9 +646,9 @@ void Servent::handle_query(sim::ConnId conn, ConnState& state, const Message& ms
         }
       }
       if (leaf_wire.empty()) {
-        Message leaf_fwd = fwd;
-        leaf_fwd.header.ttl = std::max<std::uint8_t>(leaf_fwd.header.ttl, 1);
-        leaf_wire = serialize(leaf_fwd);
+        Header leaf_fwd = fwd;
+        leaf_fwd.ttl = std::max<std::uint8_t>(leaf_fwd.ttl, 1);
+        leaf_wire = serialize(leaf_fwd, msg.payload);
       }
       network().send(cid, id(), leaf_wire);
       ++stats_.queries_forwarded_leaf;
@@ -705,10 +705,7 @@ void Servent::handle_query_hit(sim::ConnId conn, const Message& msg) {
     m.dropped_ttl.add(1);
     return;
   }
-  Message fwd = msg;
-  fwd.header.ttl = static_cast<std::uint8_t>(msg.header.ttl - 1);
-  fwd.header.hops = static_cast<std::uint8_t>(msg.header.hops + 1);
-  send_msg(route->second, fwd);
+  send_forward(route->second, msg);
   ++stats_.hits_routed;
   m.hits_routed.add(1);
 }
@@ -878,10 +875,7 @@ void Servent::handle_push(sim::ConnId conn, const Message& msg) {
   note_seen(msg.header.guid);
   auto route = push_routes_.find(push.servent_guid);
   if (route == push_routes_.end() || msg.header.ttl <= 1) return;
-  Message fwd = msg;
-  fwd.header.ttl = static_cast<std::uint8_t>(msg.header.ttl - 1);
-  fwd.header.hops = static_cast<std::uint8_t>(msg.header.hops + 1);
-  send_msg(route->second, fwd);
+  send_forward(route->second, msg);
   ++stats_.pushes_routed;
   GnutellaMetrics::get().pushes_routed.add(1);
 }
@@ -942,14 +936,14 @@ void Servent::handle_http_request(sim::ConnId conn, util::ByteView wire) {
     resp.reason = "OK";
     resp.headers = {{"Server", "P2PMAL/1.0"},
                     {"Content-Type", "application/binary"}};
-    resp.body = file->bytes();
     ++stats_.uploads_served;
     GnutellaMetrics::get().uploads_served.add(1);
+    network().send(conn, id(), resp.serialize(file->bytes()));
   } else {
     resp.status = 404;
     resp.reason = "Not Found";
+    network().send(conn, id(), resp.serialize());
   }
-  network().send(conn, id(), resp.serialize());
   // The requester closes after reading the body (closing here would race
   // the in-flight response in a real stack too).
 }
@@ -1010,6 +1004,13 @@ void Servent::shutdown(std::uint16_t code, const std::string& reason) {
 
 void Servent::send_msg(sim::ConnId conn, const Message& msg) {
   network().send(conn, id(), serialize(msg));
+}
+
+void Servent::send_forward(sim::ConnId conn, const Message& msg) {
+  Header fwd = msg.header;
+  fwd.ttl = static_cast<std::uint8_t>(msg.header.ttl - 1);
+  fwd.hops = static_cast<std::uint8_t>(msg.header.hops + 1);
+  network().send(conn, id(), serialize(fwd, msg.payload));
 }
 
 }  // namespace p2p::gnutella

@@ -286,6 +286,9 @@ class Servent : public sim::Node {
   void note_seen(const Guid& guid);
   [[nodiscard]] bool already_seen(const Guid& guid) const;
   void send_msg(sim::ConnId conn, const Message& msg);
+  /// Route `msg` on one hop: re-encode its payload under a header with
+  /// one less TTL and one more hop, without copying the Message.
+  void send_forward(sim::ConnId conn, const Message& msg);
   [[nodiscard]] util::Endpoint self_endpoint() const;
   [[nodiscard]] bool self_firewalled() const;
 

@@ -27,6 +27,7 @@
 #include "kad/id.h"
 #include "util/bytes.h"
 #include "util/ip.h"
+#include "util/payload.h"
 
 namespace p2p::kad {
 
@@ -128,8 +129,8 @@ struct KadPacket {
 inline constexpr std::size_t kMaxContacts = 64;
 inline constexpr std::size_t kMaxEntries = 128;
 
-/// Serialize to length-prefixed wire bytes.
-[[nodiscard]] util::Bytes serialize(const KadPacket& pkt);
+/// Serialize to length-prefixed wire bytes: one util::Payload allocation.
+[[nodiscard]] util::Payload serialize(const KadPacket& pkt);
 
 /// Parse one packet; nullopt on malformed input.
 [[nodiscard]] std::optional<KadPacket> parse(util::ByteView wire);

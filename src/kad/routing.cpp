@@ -55,12 +55,16 @@ std::vector<Contact> RoutingTable::closest(const KadId& target,
   for (const auto& bucket : buckets_) {
     for (const auto& e : bucket) all.push_back(e.contact);
   }
-  std::sort(all.begin(), all.end(), [&](const Contact& a, const Contact& b) {
-    KadId da = a.id ^ target, db = b.id ^ target;
-    if (da != db) return da < db;
-    return a.id < b.id;
-  });
-  if (all.size() > n) all.resize(n);
+  // A strict total order (ids are unique per table, and the id breaks any
+  // tie), so the first n are the same as a full sort's.
+  const std::size_t k = std::min(n, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k), all.end(),
+                    [&](const Contact& a, const Contact& b) {
+                      KadId da = a.id ^ target, db = b.id ^ target;
+                      if (da != db) return da < db;
+                      return a.id < b.id;
+                    });
+  all.resize(k);
   return all;
 }
 

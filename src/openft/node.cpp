@@ -31,12 +31,16 @@ struct OpenFtMetrics {
   static OpenFtMetrics& get() { return obs::bound_metrics<OpenFtMetrics>(); }
 };
 
-util::Bytes make_push_delivery(const files::Digest16& md5, const util::Bytes& body) {
-  std::string head =
-      "PUSH " + files::hex(md5) + " " + std::to_string(body.size()) + "\r\n\r\n";
-  util::Bytes out = util::text_bytes(head);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+util::Payload make_push_delivery(const files::Digest16& md5, const util::Bytes& body) {
+  return util::encode_payload(
+      [&](util::ByteWriter& w) {
+        w.str("PUSH ");
+        w.hex(md5);
+        w.u8(' ');
+        w.str(std::to_string(body.size()));
+        w.str("\r\n\r\n");
+      },
+      body);
 }
 
 struct ParsedPush {
@@ -52,9 +56,7 @@ std::optional<ParsedPush> parse_push_delivery(util::ByteView wire) {
   auto parts = util::split(text.substr(5, head_end - 5), " ");
   if (parts.size() != 2) return std::nullopt;
   ParsedPush out;
-  auto md5_bytes = util::from_hex(parts[0]);
-  if (!md5_bytes || md5_bytes->size() != out.md5.size()) return std::nullopt;
-  std::copy(md5_bytes->begin(), md5_bytes->end(), out.md5.begin());
+  if (!util::from_hex_into(parts[0], out.md5)) return std::nullopt;
   out.body.assign(wire.begin() + static_cast<std::ptrdiff_t>(head_end + 4), wire.end());
   std::size_t expect = 0;
   auto [p, ec] =
@@ -698,7 +700,7 @@ void FtNode::handle_transfer_message(sim::ConnId conn, ConnState& state,
 
   if (text.starts_with("GET ")) {
     auto md5 = files::parse_get(wire);
-    util::Bytes response;
+    util::Payload response;
     if (md5) {
       auto share = md5_to_share_.find(files::hex(*md5));
       if (share != md5_to_share_.end()) {

@@ -33,8 +33,7 @@ void write_md5(util::ByteWriter& w, const files::Digest16& d) { w.bytes(d); }
 
 files::Digest16 read_md5(util::ByteReader& r) {
   files::Digest16 d{};
-  auto bytes = r.bytes(d.size());
-  std::copy(bytes.begin(), bytes.end(), d.begin());
+  r.read_into(d);
   return d;
 }
 
@@ -217,11 +216,11 @@ std::optional<FtPayload> read_payload(FtCommand command, util::ByteReader& r) {
 
 }  // namespace
 
-util::Bytes serialize(const FtPacket& pkt) {
-  util::ByteWriter body;
-  write_payload(body, pkt.payload);
-  return util::tagged_frame_be16(static_cast<std::uint16_t>(pkt.command),
-                                 body.data());
+util::Payload serialize(const FtPacket& pkt) {
+  return util::encode_payload([&](util::ByteWriter& w) {
+    util::write_tagged_frame_be16(w, static_cast<std::uint16_t>(pkt.command),
+                                  [&](util::ByteWriter& body) { write_payload(body, pkt.payload); });
+  });
 }
 
 std::optional<FtPacket> parse(util::ByteView wire) {

@@ -18,6 +18,7 @@
 #include "files/hash.h"
 #include "util/bytes.h"
 #include "util/ip.h"
+#include "util/payload.h"
 
 namespace p2p::openft {
 
@@ -140,8 +141,8 @@ struct FtPacket {
   FtPayload payload;
 };
 
-/// Serialize to length-prefixed wire bytes.
-[[nodiscard]] util::Bytes serialize(const FtPacket& pkt);
+/// Serialize to length-prefixed wire bytes: one util::Payload allocation.
+[[nodiscard]] util::Payload serialize(const FtPacket& pkt);
 
 /// Parse one packet; nullopt on malformed input.
 [[nodiscard]] std::optional<FtPacket> parse(util::ByteView wire);

@@ -1,44 +1,54 @@
 #include "util/bytes.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
 namespace p2p::util {
 
 void ByteWriter::u16le(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8)};
+  append(b, sizeof(b));
 }
 
 void ByteWriter::u32le(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  append(b, sizeof(b));
 }
 
 void ByteWriter::u64le(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  append(b, sizeof(b));
 }
 
 void ByteWriter::u16be(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
+  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  append(b, sizeof(b));
 }
 
 void ByteWriter::u32be(std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
+  append(b, sizeof(b));
+}
+
+void ByteWriter::patch_u32le(std::size_t pos, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) buf_.at(pos + i) = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void ByteWriter::patch_u16be(std::size_t pos, std::uint16_t v) {
+  buf_.at(pos) = static_cast<std::uint8_t>(v >> 8);
+  buf_.at(pos + 1) = static_cast<std::uint8_t>(v);
 }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  append(data.data(), data.size());
 }
 
 void ByteWriter::str(std::string_view s) {
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  append(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
 void ByteWriter::cstr(std::string_view s) {
@@ -47,11 +57,32 @@ void ByteWriter::cstr(std::string_view s) {
 }
 
 void ByteWriter::varint(std::uint64_t v) {
+  std::uint8_t b[10];
+  std::size_t n = 0;
   while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    b[n++] = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  b[n++] = static_cast<std::uint8_t>(v);
+  append(b, n);
+}
+
+namespace {
+constexpr char kHexDigits[] = "0123456789abcdef";
+}  // namespace
+
+void ByteWriter::hex(std::span<const std::uint8_t> data) {
+  // Whole chunks through a stack buffer: one insert per 32 input bytes.
+  std::uint8_t chunk[64];
+  while (!data.empty()) {
+    const std::size_t n = std::min<std::size_t>(data.size(), sizeof(chunk) / 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      chunk[2 * i] = static_cast<std::uint8_t>(kHexDigits[data[i] >> 4]);
+      chunk[2 * i + 1] = static_cast<std::uint8_t>(kHexDigits[data[i] & 0xf]);
+    }
+    append(chunk, 2 * n);
+    data = data.subspan(n);
+  }
 }
 
 void ByteWriter::lp_str(std::string_view s) {
@@ -131,6 +162,12 @@ std::string_view ByteReader::lp_view() {
   return out;
 }
 
+void ByteReader::read_into(std::span<std::uint8_t> out) {
+  require(out.size());
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
 Bytes ByteReader::bytes(std::size_t n) {
   require(n);
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
@@ -139,12 +176,16 @@ Bytes ByteReader::bytes(std::size_t n) {
   return out;
 }
 
-std::string ByteReader::cstr() {
-  std::size_t end = pos_;
-  while (end < data_.size() && data_[end] != 0) ++end;
-  if (end == data_.size()) throw BufferUnderflow{};
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), end - pos_);
-  pos_ = end + 1;
+std::string ByteReader::cstr() { return std::string(cstr_view()); }
+
+std::string_view ByteReader::cstr_view() {
+  if (empty()) throw BufferUnderflow{};
+  const auto* begin = data_.data() + pos_;
+  const auto* nul = static_cast<const std::uint8_t*>(std::memchr(begin, 0, remaining()));
+  if (nul == nullptr) throw BufferUnderflow{};
+  std::string_view out(reinterpret_cast<const char*>(begin),
+                       static_cast<std::size_t>(nul - begin));
+  pos_ += out.size() + 1;
   return out;
 }
 
@@ -161,12 +202,11 @@ void ByteReader::skip(std::size_t n) {
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {
-  static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
   out.reserve(data.size() * 2);
   for (std::uint8_t b : data) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
+    out.push_back(kHexDigits[b >> 4]);
+    out.push_back(kHexDigits[b & 0xf]);
   }
   return out;
 }
@@ -182,15 +222,20 @@ int hex_val(char c) {
 
 std::optional<Bytes> from_hex(std::string_view hex) {
   if (hex.size() % 2 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = hex_val(hex[i]);
-    int lo = hex_val(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
+  Bytes out(hex.size() / 2);
+  if (!from_hex_into(hex, out)) return std::nullopt;
   return out;
+}
+
+bool from_hex_into(std::string_view hex, std::span<std::uint8_t> out) {
+  if (hex.size() != 2 * out.size()) return false;
+  for (char c : hex) {
+    if (hex_val(c) < 0) return false;
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>((hex_val(hex[2 * i]) << 4) | hex_val(hex[2 * i + 1]));
+  }
+  return true;
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
@@ -234,9 +279,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
 
 Bytes tagged_frame_be16(std::uint16_t tag, std::span<const std::uint8_t> payload) {
   ByteWriter w;
-  w.u16be(static_cast<std::uint16_t>(payload.size()));
-  w.u16be(tag);
-  w.bytes(payload);
+  write_tagged_frame_be16(w, tag, [&](ByteWriter& body) { body.bytes(payload); });
   return std::move(w).take();
 }
 

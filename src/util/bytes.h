@@ -30,7 +30,8 @@ class BufferUnderflow : public std::runtime_error {
   BufferUnderflow() : std::runtime_error("buffer underflow") {}
 };
 
-/// Append-only serializer. Grows an owned Bytes vector.
+/// Append-only serializer. Grows an owned Bytes vector; every multi-byte
+/// append is one range insert, so it costs one capacity check.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -55,6 +56,13 @@ class ByteWriter {
   /// Varint length prefix followed by the string bytes (trace codec
   /// strings; study-cache records use the same encoding).
   void lp_str(std::string_view s);
+  /// Lowercase hex digits of `data`, the same text to_hex returns.
+  void hex(std::span<const std::uint8_t> data);
+
+  /// Overwrite bytes already written at `pos` (a length field reserved
+  /// before its body was encoded).
+  void patch_u32le(std::size_t pos, std::uint32_t v);
+  void patch_u16be(std::size_t pos, std::uint16_t v);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const Bytes& data() const& { return buf_; }
@@ -64,6 +72,8 @@ class ByteWriter {
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
 
  private:
+  void append(const std::uint8_t* p, std::size_t n) { buf_.insert(buf_.end(), p, p + n); }
+
   Bytes buf_;
 };
 
@@ -87,8 +97,13 @@ class ByteReader {
 
   /// Read exactly n bytes.
   [[nodiscard]] Bytes bytes(std::size_t n);
+  /// Read exactly out.size() bytes straight into `out` (a GUID or digest).
+  void read_into(std::span<std::uint8_t> out);
   /// Read up to and excluding the next NUL; consumes the NUL.
   [[nodiscard]] std::string cstr();
+  /// cstr without the copy: a view into the reader's buffer, valid while
+  /// that buffer is.
+  [[nodiscard]] std::string_view cstr_view();
   /// Read exactly n bytes as a string.
   [[nodiscard]] std::string str(std::size_t n);
   /// Inverse of ByteWriter::lp_str (varint length + bytes).
@@ -124,6 +139,10 @@ class ByteReader {
 /// Inverse of to_hex. Returns nullopt on odd length or non-hex chars.
 [[nodiscard]] std::optional<Bytes> from_hex(std::string_view hex);
 
+/// from_hex into a fixed-size buffer (a GUID or digest). True iff `hex` is
+/// exactly 2 * out.size() hex digits; `out` is left untouched otherwise.
+[[nodiscard]] bool from_hex_into(std::string_view hex, std::span<std::uint8_t> out);
+
 /// CRC-32 (IEEE 802.3, the zlib polynomial), the one checksum of the trace
 /// store and the ZIP container. `seed` chains incremental computations:
 /// crc32(b, crc32(a)) == crc32(a + b). Slicing-by-8: eight bytes per step
@@ -131,9 +150,21 @@ class ByteReader {
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
                                   std::uint32_t seed = 0);
 
-/// Tagged length-prefixed frame, the OpenFT packet framing:
+/// Tagged length-prefixed frame, the OpenFT and KAD packet framing:
 /// [u16be payload length][u16be tag][payload]. The length covers the
-/// payload only.
+/// payload only. write_tagged_frame_be16 appends one frame to `w`: it
+/// reserves the length, writes the tag, lets `body` encode the payload in
+/// place and then patches the length, so the payload is never copied.
+template <typename Body>
+void write_tagged_frame_be16(ByteWriter& w, std::uint16_t tag, Body&& body) {
+  const std::size_t start = w.size();
+  w.u16be(0);
+  w.u16be(tag);
+  body(w);
+  w.patch_u16be(start, static_cast<std::uint16_t>(w.size() - start - 4));
+}
+
+/// One frame around an already-encoded payload.
 [[nodiscard]] Bytes tagged_frame_be16(std::uint16_t tag,
                                       std::span<const std::uint8_t> payload);
 

@@ -1,20 +1,26 @@
 #include "util/payload.h"
 
+#include <cstring>
+#include <new>
+
 namespace p2p::util {
 
-namespace {
-// The canonical empty buffer: default-constructed payloads carry no Rep at
-// all, so empty messages stay allocation-free.
-constexpr std::uint8_t* kNoData = nullptr;
-}  // namespace
-
-Payload::Payload(Bytes bytes) {
-  if (!bytes.empty()) rep_ = new Rep(std::move(bytes));
+Payload Payload::allocate(std::size_t n) {
+  // Empty payloads carry no Rep at all, so they stay allocation-free.
+  if (n == 0) return Payload();
+  void* block = ::operator new(sizeof(Rep) + n);
+  return Payload(new (block) Rep(n));
 }
 
 Payload Payload::copy(std::span<const std::uint8_t> data) {
-  if (data.empty()) return Payload();
-  return Payload(new Rep(Bytes(data.begin(), data.end())));
+  Payload out = allocate(data.size());
+  if (!data.empty()) std::memcpy(out.rep_->bytes(), data.data(), data.size());
+  return out;
+}
+
+void Payload::destroy(Rep* rep) noexcept {
+  rep->~Rep();
+  ::operator delete(rep);
 }
 
 Payload& Payload::operator=(const Payload& other) noexcept {
@@ -25,7 +31,7 @@ Payload& Payload::operator=(const Payload& other) noexcept {
     rep_ = other.rep_;
     retain();
     if (old != nullptr && old->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      delete old;
+      destroy(old);
     }
   }
   return *this;
@@ -39,22 +45,10 @@ Payload& Payload::operator=(Payload&& other) noexcept {
   return *this;
 }
 
-const std::uint8_t* Payload::data() const noexcept {
-  return rep_ != nullptr ? rep_->bytes.data() : kNoData;
-}
-
-std::size_t Payload::size() const noexcept {
-  return rep_ != nullptr ? rep_->bytes.size() : 0;
-}
-
 std::span<std::uint8_t> Payload::mutate() {
   if (rep_ == nullptr) return {};
-  if (rep_->refs.load(std::memory_order_acquire) != 1) {
-    Rep* clone = new Rep(Bytes(rep_->bytes));
-    release();
-    rep_ = clone;
-  }
-  return {rep_->bytes.data(), rep_->bytes.size()};
+  if (rep_->refs.load(std::memory_order_acquire) != 1) *this = copy(span());
+  return {rep_->bytes(), rep_->size};
 }
 
 std::uint32_t Payload::use_count() const noexcept {
@@ -64,9 +58,30 @@ std::uint32_t Payload::use_count() const noexcept {
 void Payload::release() noexcept {
   if (rep_ != nullptr &&
       rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    delete rep_;
+    destroy(rep_);
   }
   rep_ = nullptr;
 }
+
+namespace detail {
+
+namespace {
+thread_local ByteWriter t_scratch;
+}  // namespace
+
+ByteWriter& scratch_writer() {
+  t_scratch.clear();
+  return t_scratch;
+}
+
+Payload finish_scratch(ByteView tail) {
+  const Bytes& head = t_scratch.data();
+  Payload out = Payload::allocate(head.size() + tail.size());
+  if (!head.empty()) std::memcpy(out.rep_->bytes(), head.data(), head.size());
+  if (!tail.empty()) std::memcpy(out.rep_->bytes() + head.size(), tail.data(), tail.size());
+  return out;
+}
+
+}  // namespace detail
 
 }  // namespace p2p::util

@@ -29,18 +29,28 @@
 
 namespace p2p::util {
 
+class Payload;
+
+namespace detail {
+/// The calling thread's encode buffer, cleared.
+ByteWriter& scratch_writer();
+/// One block holding the scratch writer's bytes followed by `tail`.
+Payload finish_scratch(ByteView tail);
+}  // namespace detail
+
 class Payload {
  public:
   Payload() noexcept = default;
 
-  /// Adopts the vector's buffer (no byte copy). Implicit on purpose:
-  /// every `send(serialize(msg))` call site keeps compiling, now with a
-  /// single ownership transfer instead of a chain of vector copies.
-  Payload(Bytes bytes);  // NOLINT(google-explicit-constructor)
+  /// Copies the vector's bytes into a fresh block. Implicit on purpose:
+  /// call sites that build a message as Bytes (handshake text, tests) keep
+  /// passing it straight to send().
+  Payload(const Bytes& bytes) : Payload(copy(bytes)) {}  // NOLINT(google-explicit-constructor)
 
   /// Braced literals (`send(cid, id, {0x01, 0x02})`) worked when send took
   /// Bytes; keep them working.
-  Payload(std::initializer_list<std::uint8_t> bytes) : Payload(Bytes(bytes)) {}
+  Payload(std::initializer_list<std::uint8_t> bytes)
+      : Payload(copy({bytes.begin(), bytes.size()})) {}
 
   /// Copies `data` into a fresh buffer.
   static Payload copy(std::span<const std::uint8_t> data);
@@ -51,8 +61,12 @@ class Payload {
   Payload& operator=(Payload&& other) noexcept;
   ~Payload() { release(); }
 
-  [[nodiscard]] const std::uint8_t* data() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return rep_ != nullptr ? rep_->bytes() : nullptr;
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return rep_ != nullptr ? rep_->size : 0;
+  }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
   [[nodiscard]] std::span<const std::uint8_t> span() const noexcept {
@@ -92,20 +106,39 @@ class Payload {
   }
 
  private:
+  // The block's header; `size` bytes follow it in the same allocation.
   struct Rep {
-    explicit Rep(Bytes b) noexcept : bytes(std::move(b)) {}
+    explicit Rep(std::size_t n) noexcept : size(n) {}
+    std::uint8_t* bytes() noexcept { return reinterpret_cast<std::uint8_t*>(this + 1); }
     std::atomic<std::uint32_t> refs{1};
-    Bytes bytes;
+    std::size_t size;
   };
 
   explicit Payload(Rep* rep) noexcept : rep_(rep) {}
+  friend Payload detail::finish_scratch(ByteView tail);
+
+  /// A uniquely owned block of `n` bytes with unspecified contents.
+  static Payload allocate(std::size_t n);
 
   void retain() noexcept {
     if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }
   void release() noexcept;
+  static void destroy(Rep* rep) noexcept;
 
   Rep* rep_ = nullptr;
 };
+
+/// Encodes a message as one Payload: `encode(ByteWriter&)` writes it into
+/// the calling thread's reused writer (which stops growing once it has
+/// seen its largest message), then the bytes, followed by `tail`, are
+/// copied into a single block. `tail` carries a transfer's file body, which
+/// goes straight into the block and never through the writer. Not
+/// reentrant: `encode` must not itself call encode_payload.
+template <typename Encode>
+[[nodiscard]] Payload encode_payload(Encode&& encode, ByteView tail = {}) {
+  encode(detail::scratch_writer());
+  return detail::finish_scratch(tail);
+}
 
 }  // namespace p2p::util

@@ -52,14 +52,49 @@ std::vector<std::string> keywords(std::string_view s) {
   return out;
 }
 
-bool keyword_match(std::string_view query, std::string_view text) {
-  auto qk = keywords(query);
-  if (qk.empty()) return false;
-  auto tk = keywords(text);
-  for (const auto& q : qk) {
-    if (std::find(tk.begin(), tk.end(), q) == tk.end()) return false;
+namespace {
+
+bool is_keyword_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) != 0; }
+
+/// The next token keywords() would emit from s[pos..], as a view of `s`
+/// (case unfolded); advances `pos` past it. False when none is left.
+bool next_keyword(std::string_view s, std::size_t& pos, std::string_view& token) {
+  while (pos < s.size()) {
+    while (pos < s.size() && !is_keyword_char(s[pos])) ++pos;
+    const std::size_t start = pos;
+    while (pos < s.size() && is_keyword_char(s[pos])) ++pos;
+    if (pos - start >= 2) {
+      token = s.substr(start, pos - start);
+      return true;
+    }
   }
-  return true;
+  return false;
+}
+
+bool equal_folded(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](unsigned char x, unsigned char y) {
+                      return std::tolower(x) == std::tolower(y);
+                    });
+}
+
+}  // namespace
+
+// Tokenizes both strings in place (no vectors, no strings): each query
+// keyword is looked up by rescanning the text's keywords.
+bool keyword_match(std::string_view query, std::string_view text) {
+  bool any = false;
+  std::string_view q;
+  for (std::size_t qpos = 0; next_keyword(query, qpos, q);) {
+    any = true;
+    bool found = false;
+    std::string_view t;
+    for (std::size_t tpos = 0; !found && next_keyword(text, tpos, t);) {
+      found = equal_folded(q, t);
+    }
+    if (!found) return false;
+  }
+  return any;
 }
 
 bool ends_with_icase(std::string_view s, std::string_view suffix) {

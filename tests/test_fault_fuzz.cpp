@@ -43,7 +43,7 @@ TEST_P(FaultCorruptionFuzz, GnutellaParserSurvivesInjectedCorruption) {
   rng.fill(r.sha1);
   hit.results.push_back(r);
   auto wire = gnutella::serialize(
-      gnutella::make_query_hit(gnutella::Guid::random(rng), 4, hit));
+      gnutella::make_query_hit(gnutella::Guid::random(rng), 4, hit)).to_bytes();
 
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {
@@ -61,7 +61,7 @@ TEST_P(FaultCorruptionFuzz, OpenFtParserSurvivesInjectedCorruption) {
   resp.owner = {util::Ipv4(10, 1, 2, 3), 1216};
   resp.path = "/shared/payload sample.exe";
   rng.fill(resp.md5);
-  auto wire = openft::serialize(openft::make_packet(resp));
+  auto wire = openft::serialize(openft::make_packet(resp)).to_bytes();
 
   const int rounds = fuzz_rounds(300);
   for (int round = 0; round < rounds; ++round) {

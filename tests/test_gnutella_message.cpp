@@ -170,13 +170,13 @@ TEST(Message, QrpPatchRoundTrip) {
 
 TEST(Message, RejectsUnknownType) {
   Message ping = make_ping(guid_of(1), 7);
-  auto wire = serialize(ping);
+  auto wire = serialize(ping).to_bytes();
   wire[16] = 0x77;  // type byte
   EXPECT_FALSE(parse(wire).has_value());
 }
 
 TEST(Message, RejectsBadPayloadLength) {
-  auto wire = serialize(make_ping(guid_of(1), 7));
+  auto wire = serialize(make_ping(guid_of(1), 7)).to_bytes();
   wire[19] = 5;  // claim 5 payload bytes that aren't there
   EXPECT_FALSE(parse(wire).has_value());
 }
@@ -192,7 +192,7 @@ TEST(Message, RejectsTruncatedQueryHit) {
   QueryHitResult r;
   r.filename = "x.exe";
   hit.results.push_back(r);
-  auto wire = serialize(make_query_hit(guid_of(4), 3, hit));
+  auto wire = serialize(make_query_hit(guid_of(4), 3, hit)).to_bytes();
   wire.resize(wire.size() - 10);
   // Truncated: payload length mismatch.
   EXPECT_FALSE(parse(wire).has_value());

@@ -75,7 +75,7 @@ TEST(HttpResponse, AutoContentLength) {
 TEST(HttpResponse, RejectsLengthMismatch) {
   HttpResponse resp;
   resp.body = {1, 2, 3};
-  auto wire = resp.serialize();
+  auto wire = resp.serialize().to_bytes();
   wire.push_back(99);  // extra byte beyond Content-Length
   EXPECT_FALSE(HttpResponse::parse(wire).has_value());
 }

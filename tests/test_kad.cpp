@@ -333,7 +333,7 @@ TEST(KadCodec, RejectsTruncatedAndOversized) {
   auto wire = kad::serialize(
       kad::make_packet(kad::Store{sample_contact(rng), {sample_entry(rng)}}));
   for (std::size_t len = 0; len < wire.size(); ++len) {
-    auto truncated = wire;
+    auto truncated = wire.to_bytes();
     truncated.resize(len);
     EXPECT_NO_THROW({ auto r = kad::parse(truncated); (void)r; });
   }

@@ -131,7 +131,7 @@ TEST_P(KadMutationFuzz, MutatedPacketsNeverCrashTheParser) {
   int rounds = fuzz_rounds(80);
   for (int i = 0; i < rounds; ++i) {
     auto wire = kad::serialize(random_packet(rng));
-    util::Bytes mutated = wire;
+    util::Bytes mutated = wire.to_bytes();
     std::size_t flips = rng.index(8) + 1;
     for (std::size_t f = 0; f < flips && !mutated.empty(); ++f) {
       mutated[rng.index(mutated.size())] ^=

@@ -126,25 +126,25 @@ TEST(FtPacket, StatsRoundTrip) {
 }
 
 TEST(FtPacket, RejectsUnknownCommand) {
-  auto wire = serialize(make_packet(VersionRequest{}));
+  auto wire = serialize(make_packet(VersionRequest{})).to_bytes();
   wire[3] = 0x7F;  // command low byte
   EXPECT_FALSE(parse(wire).has_value());
 }
 
 TEST(FtPacket, RejectsLengthMismatch) {
-  auto wire = serialize(make_packet(SearchEnd{1}));
+  auto wire = serialize(make_packet(SearchEnd{1})).to_bytes();
   wire[1] = static_cast<std::uint8_t>(wire[1] + 1);
   EXPECT_FALSE(parse(wire).has_value());
 }
 
 TEST(FtPacket, RejectsTruncated) {
-  auto wire = serialize(make_packet(Stats{1, 2, 3}));
+  auto wire = serialize(make_packet(Stats{1, 2, 3})).to_bytes();
   wire.resize(wire.size() - 2);
   EXPECT_FALSE(parse(wire).has_value());
 }
 
 TEST(FtPacket, RejectsTrailingGarbage) {
-  auto wire = serialize(make_packet(SearchEnd{1}));
+  auto wire = serialize(make_packet(SearchEnd{1})).to_bytes();
   wire.push_back(0xAA);
   EXPECT_FALSE(parse(wire).has_value());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,15 +21,29 @@ TEST(Payload, DefaultIsEmpty) {
   EXPECT_EQ(p.use_count(), 0u);
 }
 
-TEST(Payload, AdoptsVectorWithoutChangingBytes) {
-  Bytes src = some_bytes();
-  const std::uint8_t* data = src.data();
-  Payload p{std::move(src)};
+// The refcount and the bytes share one block, so a vector is copied in,
+// never adopted.
+TEST(Payload, CopiesVectorIntoOneBlock) {
+  const Bytes src = some_bytes();
+  Payload p{src};
   EXPECT_EQ(p.size(), 5u);
-  EXPECT_EQ(p.data(), data);  // adopted, not copied
-  EXPECT_EQ(p[0], 0x01);
-  EXPECT_EQ(p[4], 0x05);
+  EXPECT_NE(p.data(), src.data());
+  EXPECT_TRUE(std::equal(p.begin(), p.end(), src.begin(), src.end()));
   EXPECT_EQ(p.use_count(), 1u);
+}
+
+TEST(Payload, EncodePayloadAppendsTheTailInOneBlock) {
+  const Bytes tail{0xaa, 0xbb};
+  Payload p = encode_payload(
+      [](ByteWriter& w) {
+        w.u16be(0x0102);
+        w.str("x");
+      },
+      tail);
+  EXPECT_EQ(p.to_bytes(), (Bytes{0x01, 0x02, 'x', 0xaa, 0xbb}));
+  EXPECT_EQ(p.use_count(), 1u);
+  // The per-thread writer starts empty for every message.
+  EXPECT_EQ(encode_payload([](ByteWriter& w) { w.u8(9); }).to_bytes(), Bytes{9});
 }
 
 TEST(Payload, EmptyVectorMakesNoRep) {

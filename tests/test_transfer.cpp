@@ -13,7 +13,7 @@ util::Bytes wire(const std::string& text) { return util::text_bytes(text); }
 
 TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   Digest16 md5 = files::md5(wire("payload"));
-  util::Bytes get = make_get(md5);
+  util::Payload get = make_get(md5);
   EXPECT_EQ(std::string(util::as_view(get)), "GET /" + hex(md5) + " HTTP/1.1\r\n\r\n");
   auto parsed_get = parse_get(get);
   ASSERT_TRUE(parsed_get.has_value());
@@ -23,7 +23,7 @@ TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   util::Bytes body = wire("MZ binary\r\n\r\nbody");
   body.push_back(0x00);
   body.push_back(0x90);
-  util::Bytes ok = make_response(200, &body);
+  util::Payload ok = make_response(200, &body);
   EXPECT_TRUE(util::as_view(ok).starts_with("HTTP/1.1 200 OK\r\nContent-Length: " +
                                       std::to_string(body.size()) + "\r\n\r\n"));
   auto parsed_ok = parse_response(ok);
@@ -31,7 +31,7 @@ TEST(TransferCodec, RoundTripsGetOkAndNotFound) {
   EXPECT_EQ(parsed_ok->status, 200);
   EXPECT_EQ(parsed_ok->body, body);
 
-  util::Bytes missing = make_response(404, nullptr);
+  util::Payload missing = make_response(404, nullptr);
   EXPECT_EQ(std::string(util::as_view(missing)),
             "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
   auto parsed_missing = parse_response(missing);

@@ -101,7 +101,7 @@ TEST_P(MutationFuzz, GnutellaParserNeverThrows) {
 
   const int rounds = fuzz_rounds(200);
   for (int round = 0; round < rounds; ++round) {
-    util::Bytes mutated = wire;
+    util::Bytes mutated = wire.to_bytes();
     std::size_t flips = rng.index(5) + 1;
     for (std::size_t f = 0; f < flips; ++f) {
       mutated[rng.index(mutated.size())] ^=
@@ -122,7 +122,7 @@ TEST_P(MutationFuzz, OpenFtParserNeverThrows) {
 
   const int rounds = fuzz_rounds(200);
   for (int round = 0; round < rounds; ++round) {
-    util::Bytes mutated = wire;
+    util::Bytes mutated = wire.to_bytes();
     std::size_t flips = rng.index(5) + 1;
     for (std::size_t f = 0; f < flips; ++f) {
       mutated[rng.index(mutated.size())] ^=
